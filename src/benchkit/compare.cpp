@@ -116,6 +116,19 @@ Comparison CompareToBaseline(const Json& baseline, const SuiteResult& fresh) {
                 "', fresh run is '" + fresh.suite() + "'";
     return cmp;
   }
+  // Quick mode shrinks iteration counts, so its exact counters and rates
+  // are not comparable with a full-mode baseline (or the other way round).
+  const Json* quick = baseline.Find("quick");
+  const bool baseline_quick = quick != nullptr && quick->AsBool();
+  if (baseline_quick != fresh.options().quick) {
+    auto mode = [](bool q) { return q ? "quick" : "full"; };
+    cmp.status = ComparisonStatus::kBadBaseline;
+    cmp.error = std::string("mode mismatch: baseline is ") +
+                mode(baseline_quick) + ", fresh run is " +
+                mode(fresh.options().quick) +
+                " (run with the baseline's mode, or re-generate it)";
+    return cmp;
+  }
   const Json* metrics = baseline.Find("metrics");
   if (metrics == nullptr || !metrics->is_object()) {
     cmp.status = ComparisonStatus::kBadBaseline;

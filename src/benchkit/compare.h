@@ -11,7 +11,8 @@
 //   * A metric present in the baseline but missing from the fresh run is a
 //     regression (coverage loss). A metric new in the fresh run is noted
 //     but passes — committing the refreshed file adopts it.
-//   * Schema or suite mismatch refuses to compare (update the baseline).
+//   * Schema, suite or quick-mode mismatch refuses to compare (update the
+//     baseline, or run in the baseline's mode).
 #pragma once
 
 #include <string>
@@ -46,7 +47,7 @@ enum class ComparisonStatus {
   kOk,              // compared, no regressions
   kRegressed,       // at least one metric outside its band
   kNoBaseline,      // baseline file missing
-  kBadBaseline,     // unparsable / schema or suite mismatch
+  kBadBaseline,     // unparsable / schema, suite or mode mismatch
 };
 
 struct Comparison {

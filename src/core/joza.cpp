@@ -231,7 +231,12 @@ void Joza::OnSourcesChanged(const std::vector<php::SourceFile>& files) {
   }
 }
 
-StatusOr<pti::PtiResult> Joza::RunPti(const AnalysisContext& ctx) {
+const std::vector<sql::Token>& Joza::AnalysisContext::Tokens() {
+  if (!tokens) tokens = sql::Lex(query);
+  return *tokens;
+}
+
+StatusOr<pti::PtiResult> Joza::RunPti(AnalysisContext& ctx) {
   state_->stats.pti_full_runs.fetch_add(1, std::memory_order_relaxed);
   if (pti_backend_) {
     if (!state_->breaker.Allow()) {
@@ -240,7 +245,7 @@ StatusOr<pti::PtiResult> Joza::RunPti(const AnalysisContext& ctx) {
       state_->stats.pti_failures.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable("PTI circuit breaker open");
     }
-    auto result = pti_backend_(ctx.query, ctx.tokens, ctx.deadline);
+    auto result = pti_backend_(ctx.query, ctx.Tokens(), ctx.deadline);
     if (!result.ok()) {
       state_->breaker.RecordFailure();
       state_->stats.pti_failures.fetch_add(1, std::memory_order_relaxed);
@@ -271,13 +276,13 @@ Verdict Joza::CheckViews(std::string_view query,
                          const std::vector<http::InputView>& inputs,
                          util::Deadline deadline) {
   // Single-pass pipeline: pin the snapshot (one atomic load — the only
-  // synchronization on this path), lex exactly once, then thread the
-  // shared working set through caches, PTI and NTI.
+  // synchronization on this path), then thread the shared working set
+  // through caches, PTI and NTI. The query is lexed on first need: a
+  // query-cache hit whose inputs NTI does not mark never lexes.
   AnalysisContext ctx;
   ctx.query = query;
   ctx.snapshot = state_->snapshot.Load();
   ctx.deadline = deadline;
-  ctx.tokens = sql::Lex(query);
   const RulesetSnapshot& snap = *ctx.snapshot;
 
   state_->stats.queries_checked.fetch_add(1, std::memory_order_relaxed);
@@ -300,7 +305,7 @@ Verdict Joza::CheckViews(std::string_view query,
     std::uint64_t shash = 0;
     bool have_shash = false;
     if (!resolved && config_.structure_cache) {
-      auto parsed = sql::StructureHashOf(query, ctx.tokens);
+      auto parsed = sql::StructureHashOf(query, ctx.Tokens());
       if (parsed.ok()) {
         shash = HashCombine(parsed.value(), snap.version);
         have_shash = true;
@@ -309,13 +314,17 @@ Verdict Joza::CheckViews(std::string_view query,
               1, std::memory_order_relaxed);
           verdict.structure_cache_hit = true;
           resolved = true;  // same shape as a previously PTI-safe query
+          // This exact text would hit the same entry again, so promote it:
+          // its next check skips the parse and, unless NTI marks an
+          // input, the lex.
+          if (config_.query_cache) state_->query_cache.Insert(qhash);
         }
       }
     }
 
     if (!resolved) {
-      ctx.pti_units =
-          sql::BuildCriticalUnits(ctx.tokens, snap.pti->config().strict_tokens);
+      const bool strict = snap.pti->config().strict_tokens;
+      ctx.pti_units = sql::BuildCriticalUnits(ctx.Tokens(), strict);
       auto pti_or = RunPti(ctx);
       if (pti_or.ok()) {
         verdict.pti = std::move(pti_or).value();
@@ -324,7 +333,7 @@ Verdict Joza::CheckViews(std::string_view query,
           if (config_.query_cache) state_->query_cache.Insert(qhash);
           if (config_.structure_cache) {
             if (!have_shash) {
-              auto parsed = sql::StructureHashOf(query, ctx.tokens);
+              auto parsed = sql::StructureHashOf(query, ctx.Tokens());
               if (parsed.ok()) {
                 shash = HashCombine(parsed.value(), snap.version);
                 have_shash = true;
@@ -356,30 +365,31 @@ Verdict Joza::CheckViews(std::string_view query,
   bool nti_safe = true;
   if (config_.enable_nti) {
     state_->stats.nti_runs.fetch_add(1, std::memory_order_relaxed);
-    ctx.nti_critical = sql::CriticalTokens(ctx.tokens, snap.nti.strict_tokens);
-    verdict.nti = nti::NtiAnalyzer(snap.nti)
-                      .AnalyzeCritical(query, ctx.nti_critical, inputs);
+    verdict.nti = nti::NtiAnalyzer(snap.nti).Mark(query, inputs);
+    // Only the whole-token rule reads tokens, and with no marking it has
+    // nothing to decide.
+    if (!verdict.nti.markings.empty()) {
+      ctx.nti_critical =
+          sql::CriticalTokens(ctx.Tokens(), snap.nti.strict_tokens);
+      nti::NtiAnalyzer::ApplyWholeTokenRule(ctx.nti_critical, verdict.nti);
+    }
     nti_safe = !verdict.nti.attack_detected;
+    // Most of these are zero on any one check; skip the atomic for those.
+    auto add = [](std::atomic<std::size_t>& counter, std::size_t value) {
+      if (value != 0) counter.fetch_add(value, std::memory_order_relaxed);
+    };
     AtomicStats& a = state_->stats;
-    a.nti_exact_hits.fetch_add(verdict.nti.exact_hits,
-                               std::memory_order_relaxed);
-    a.nti_seed_candidates.fetch_add(verdict.nti.seed_candidates,
-                                    std::memory_order_relaxed);
-    a.nti_dp_runs.fetch_add(verdict.nti.dp_runs, std::memory_order_relaxed);
-    a.nti_tier_reference.fetch_add(verdict.nti.tier_reference,
-                                   std::memory_order_relaxed);
-    a.nti_tier_bounded.fetch_add(verdict.nti.tier_bounded,
-                                 std::memory_order_relaxed);
-    a.nti_tier_staged.fetch_add(verdict.nti.tier_staged,
-                                std::memory_order_relaxed);
-    a.nti_planner_exact_batch.fetch_add(verdict.nti.planner_exact_batch,
-                                        std::memory_order_relaxed);
-    a.nti_planner_exact_automaton.fetch_add(
-        verdict.nti.planner_exact_automaton, std::memory_order_relaxed);
-    a.nti_planner_exact_find.fetch_add(verdict.nti.planner_exact_find,
-                                       std::memory_order_relaxed);
-    a.nti_planner_calibrated.fetch_add(verdict.nti.planner_calibrated,
-                                       std::memory_order_relaxed);
+    const nti::NtiResult& r = verdict.nti;
+    add(a.nti_exact_hits, r.exact_hits);
+    add(a.nti_seed_candidates, r.seed_candidates);
+    add(a.nti_dp_runs, r.dp_runs);
+    add(a.nti_tier_reference, r.tier_reference);
+    add(a.nti_tier_bounded, r.tier_bounded);
+    add(a.nti_tier_staged, r.tier_staged);
+    add(a.nti_planner_exact_batch, r.planner_exact_batch);
+    add(a.nti_planner_exact_automaton, r.planner_exact_automaton);
+    add(a.nti_planner_exact_find, r.planner_exact_find);
+    add(a.nti_planner_calibrated, r.planner_calibrated);
   }
 
   verdict.attack = !pti_safe || !nti_safe;

@@ -2,10 +2,11 @@
 //
 // Every query the application issues is checked by PTI first, then NTI; it
 // is safe iff both deem it safe. Two caches accelerate PTI: the query
-// cache (exact query text of previously-safe queries) and the structure
-// cache (AST shape with data nodes blanked — safe because injected SQL
-// always alters the shape). NTI is never cached: its verdict depends on
-// the request's inputs.
+// cache (exact texts proven safe by PTI or by a structure hit) and the
+// structure cache (AST shape with data nodes blanked — safe because
+// injected SQL always alters the shape). NTI is never cached: its verdict
+// depends on the request's inputs. A check lexes the query at most once,
+// and only when a cache miss or an NTI marking needs tokens.
 //
 // Thread safety: Check(), MakeGate()'s gate, stats() and OnSourcesChanged()
 // may be called concurrently from any number of threads (the gateway shares
@@ -24,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -331,13 +333,16 @@ class Joza {
 
  private:
   // Per-query working set of the single-pass pipeline: the query is lexed
-  // exactly once and every derived view (critical units for PTI, critical
-  // tokens for NTI) is computed at most once and shared by all layers.
+  // at most once, and only when a cache miss or an NTI marking needs
+  // tokens; every derived view (critical units for PTI, critical tokens
+  // for NTI) is computed at most once and shared by all layers.
   struct AnalysisContext {
     std::string_view query;
     std::shared_ptr<const RulesetSnapshot> snapshot;
     util::Deadline deadline;
-    std::vector<sql::Token> tokens;          // the one and only Lex
+    // The lex of `query`, run on first call and reused after.
+    const std::vector<sql::Token>& Tokens();
+    std::optional<std::vector<sql::Token>> tokens;
     std::vector<sql::CriticalUnit> pti_units;  // per snapshot->pti policy
     std::vector<sql::Token> nti_critical;      // per snapshot->nti policy
   };
@@ -382,8 +387,9 @@ class Joza {
           breaker(breaker_options) {}
     // The published ruleset snapshot; readers pin it lock-free.
     RcuCell<RulesetSnapshot> snapshot;
-    // Query cache: hashes of exact query strings previously PTI-safe
-    // (salted with the snapshot version they were proven under).
+    // Query cache: hashes of exact query strings proven safe by PTI or by
+    // a structure-cache hit (salted with the snapshot version they were
+    // proven under).
     ShardedSafetyCache query_cache;
     // Structure cache: AST-structure hashes of previously PTI-safe queries
     // (same version salt).
@@ -402,7 +408,7 @@ class Joza {
     resilience::CircuitBreaker breaker;
   };
 
-  StatusOr<pti::PtiResult> RunPti(const AnalysisContext& ctx);
+  StatusOr<pti::PtiResult> RunPti(AnalysisContext& ctx);
   // The single-pass pipeline shared by both public entries; `inputs` are
   // borrowed views that must stay valid for the duration of the call.
   Verdict CheckViews(std::string_view query,

@@ -36,6 +36,13 @@ NtiResult NtiAnalyzer::AnalyzeCritical(
 NtiResult NtiAnalyzer::AnalyzeCritical(
     std::string_view query, const std::vector<sql::Token>& critical,
     const std::vector<http::InputView>& inputs) const {
+  NtiResult result = Mark(query, inputs);
+  ApplyWholeTokenRule(critical, result);
+  return result;
+}
+
+NtiResult NtiAnalyzer::Mark(std::string_view query,
+                            const std::vector<http::InputView>& inputs) const {
   NtiResult result;
 
   // Plausibility pruning (identical across tiers): inputs too short to
@@ -67,19 +74,24 @@ NtiResult NtiAnalyzer::AnalyzeCritical(
     marking.input_kind = input.kind;
     marking.ratio = best.ratio;
     marking.distance = best.distance;
+    result.markings.push_back(std::move(marking));
+  }
+  return result;
+}
 
-    // Whole-token rule: this input's marking is an attack only if it fully
-    // covers at least one critical token. Markings from different inputs
-    // are never combined (that would flood false positives; Section III-A).
+void NtiAnalyzer::ApplyWholeTokenRule(const std::vector<sql::Token>& critical,
+                                      NtiResult& result) {
+  // Whole-token rule: one input's marking is an attack only if it fully
+  // covers at least one critical token. Markings from different inputs
+  // are never combined (that would flood false positives; Section III-A).
+  for (const TaintMarking& marking : result.markings) {
     for (const sql::Token& t : critical) {
       if (marking.span.contains(t.span)) {
         result.attack_detected = true;
         result.tainted_critical_tokens.push_back(t);
       }
     }
-    result.markings.push_back(std::move(marking));
   }
-  return result;
 }
 
 }  // namespace joza::nti

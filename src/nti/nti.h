@@ -145,6 +145,16 @@ class NtiAnalyzer {
                             const std::vector<sql::Token>& critical,
                             const std::vector<http::Input>& inputs) const;
 
+  // The two halves of AnalyzeCritical. Mark matches every eligible input
+  // against the query and fills the markings and pipeline counters; it
+  // never reads a token. ApplyWholeTokenRule then decides the attack bit
+  // and the evidence from `critical`. A result with no markings is final
+  // after Mark, so a caller may skip lexing the query for it.
+  NtiResult Mark(std::string_view query,
+                 const std::vector<http::InputView>& inputs) const;
+  static void ApplyWholeTokenRule(const std::vector<sql::Token>& critical,
+                                  NtiResult& result);
+
  private:
   NtiConfig config_;
 };

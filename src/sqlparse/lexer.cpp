@@ -195,7 +195,7 @@ class Lexer {
   std::size_t pos_ = 0;
 };
 
-// Test-only accounting: the single-pass analysis contract ("exactly one
+// Test-only accounting: the single-pass analysis contract ("at most one
 // Lex per analyzed query") is asserted by counting calls. A relaxed atomic
 // increment costs nothing measurable next to tokenization itself.
 std::atomic<std::uint64_t> g_lex_calls{0};

@@ -22,7 +22,8 @@ std::vector<Token> Lex(std::string_view query);
 
 // Process-wide count of Lex() calls (relaxed, monotonically increasing).
 // Test instrumentation for the single-pass analysis contract: the engine
-// must lex each checked query exactly once.
+// lexes each checked query at most once, and only when a cache miss or an
+// NTI marking needs tokens.
 std::uint64_t LexCallsForTest();
 
 }  // namespace joza::sql

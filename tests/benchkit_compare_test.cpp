@@ -144,6 +144,25 @@ TEST(Compare, SuiteMismatchRefusesToCompare) {
   EXPECT_NE(cmp.error.find("suite"), std::string::npos);
 }
 
+TEST(Compare, QuickModeMismatchRefusesToCompare) {
+  // A quick run's shrunken counters against a full-mode baseline (or the
+  // other way round) would report spurious regressions.
+  const Json full_baseline = BaselineFor(MakeFresh(1000, 5.0, 42));
+  SuiteOptions quick_options;
+  quick_options.quick = true;
+  SuiteResult quick("smoke", quick_options);
+  quick.AddExact("engine.queries", 42);
+  Comparison cmp = CompareToBaseline(full_baseline, quick);
+  EXPECT_EQ(cmp.status, ComparisonStatus::kBadBaseline);
+  EXPECT_NE(cmp.error.find("mode"), std::string::npos);
+  EXPECT_TRUE(cmp.diffs.empty());
+
+  cmp = CompareToBaseline(BaselineFor(quick), MakeFresh(1000, 5.0, 42));
+  EXPECT_EQ(cmp.status, ComparisonStatus::kBadBaseline);
+  EXPECT_EQ(CompareToBaseline(BaselineFor(quick), quick).status,
+            ComparisonStatus::kOk);
+}
+
 TEST(Compare, MissingBaselineFileIsDistinctFromBadBaseline) {
   const Comparison cmp = CompareToBaselineFile(
       ::testing::TempDir() + "/definitely_missing_baseline.json",

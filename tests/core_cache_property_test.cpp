@@ -6,6 +6,8 @@
 
 #include "attack/catalog.h"
 #include "attack/exploit.h"
+#include "attack/payload_gen.h"
+#include "attack/workload.h"
 #include "core/joza.h"
 #include "pti/pti.h"
 #include "sqlparse/structure.h"
@@ -92,6 +94,62 @@ TEST(StructureCacheEndToEnd, WarmCacheGrantsNoAmnesty) {
     EXPECT_FALSE(attack::ExploitSucceeds(*app, p, e)) << p.name;
   }
   app->SetQueryGate(nullptr);
+}
+
+// A structure hit promotes its text into the query cache, so the query
+// cache must grant nothing the structure cache alone would not: over benign,
+// exploit and SQLMap-style traffic, the default engine and one without a
+// query cache agree on every check's verdict and on whether it ran PTI.
+TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
+  struct Check {
+    std::string query;
+    std::vector<http::Input> inputs;
+  };
+  std::vector<Check> corpus;
+  auto app = attack::MakeTestbed();
+  app->SetQueryGate([&corpus](std::string_view sql,
+                              const http::Request& request) {
+    corpus.push_back({std::string(sql), request.AllInputs()});
+    return webapp::GateDecision{};  // allow
+  });
+  for (const attack::WorkloadRequest& wr :
+       attack::MakeMixedWorkload(300, 0.1, 7)) {
+    app->Handle(wr.request);
+  }
+  app->SetQueryGate(nullptr);
+  for (const attack::PluginSpec& p : attack::PluginCatalog()) {
+    std::vector<attack::Exploit> exploits =
+        attack::GenerateSqlmapPayloads(p, 6, 99);
+    exploits.push_back(attack::OriginalExploit(p));
+    for (const attack::Exploit& e : exploits) {
+      for (const std::string* payload : {&e.payload, &e.false_payload}) {
+        if (payload->empty()) continue;
+        corpus.push_back(
+            {attack::QueryFor(p, *payload), attack::InputsFor(p, *payload)});
+      }
+    }
+  }
+
+  Joza with_qc = Joza::Install(*app);
+  JozaConfig no_qc_config;
+  no_qc_config.query_cache = false;
+  Joza without_qc = Joza::Install(*app, no_qc_config);
+  // Two passes, so every text is also checked against warm caches.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Check& c : corpus) {
+      const std::size_t runs_with = with_qc.stats().pti_full_runs;
+      const std::size_t runs_without = without_qc.stats().pti_full_runs;
+      const Verdict a = with_qc.Check(c.query, c.inputs);
+      const Verdict b = without_qc.Check(c.query, c.inputs);
+      ASSERT_EQ(a.attack, b.attack) << c.query;
+      ASSERT_EQ(a.detected_by, b.detected_by) << c.query;
+      ASSERT_EQ(with_qc.stats().pti_full_runs - runs_with,
+                without_qc.stats().pti_full_runs - runs_without)
+          << c.query;
+    }
+  }
+  EXPECT_GT(with_qc.stats().query_cache_hits, 0u);
+  EXPECT_GT(with_qc.stats().attacks_detected, 0u);
 }
 
 // Benign-per-endpoint PTI coverage: with the full testbed vocabulary,

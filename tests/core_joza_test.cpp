@@ -114,6 +114,32 @@ TEST(Caches, StructureCacheCoversDataVariants) {
   EXPECT_EQ(joza.stats().pti_full_runs, 1u);
 }
 
+TEST(Caches, StructureHitPromotesToQueryCache) {
+  Joza joza(RichFragments());
+  joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5", {Get("id", "17")});
+  const std::string q = "SELECT * FROM records WHERE ID=99 LIMIT 5";
+  auto v1 = joza.Check(q, {Get("id", "99")});
+  EXPECT_TRUE(v1.structure_cache_hit);
+  const std::size_t pti_runs = joza.stats().pti_full_runs;
+  // The text the structure hit proved safe now hits the query cache.
+  auto v2 = joza.Check(q, {Get("id", "99")});
+  EXPECT_FALSE(v2.attack);
+  EXPECT_TRUE(v2.query_cache_hit);
+  EXPECT_FALSE(v2.structure_cache_hit);
+  EXPECT_EQ(joza.stats().pti_full_runs, pti_runs);
+  EXPECT_EQ(joza.stats().query_cache_hits, 1u);
+  EXPECT_EQ(joza.stats().structure_cache_hits, 1u);
+
+  // With the query cache off nothing is promoted.
+  JozaConfig cfg;
+  cfg.query_cache = false;
+  Joza no_qc(RichFragments(), cfg);
+  no_qc.Check("SELECT * FROM records WHERE ID=17 LIMIT 5", {});
+  no_qc.Check(q, {});
+  EXPECT_TRUE(no_qc.Check(q, {}).structure_cache_hit);
+  EXPECT_EQ(no_qc.stats().query_cache_hits, 0u);
+}
+
 TEST(Caches, InjectedQueryNeverHitsCaches) {
   Joza joza(RichFragments());
   auto v1 = joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5",
@@ -194,37 +220,63 @@ TEST(Snapshot, VersionBumpsAndIsStampedEverywhere) {
   EXPECT_EQ(stats.ruleset_swaps, 1u);
 }
 
-TEST(Snapshot, ExactlyOneLexPerCheck) {
-  // The single-pass pipeline lexes once per Check and threads the tokens
-  // through structure hashing, parsing, NTI and PTI — cold, cached and
-  // attack paths alike.
+TEST(Snapshot, LexOnlyWhenTokensAreNeeded) {
+  // The single-pass pipeline lexes at most once per Check, and only when a
+  // cache miss (structure hash, PTI units) or an NTI marking (whole-token
+  // rule) reads tokens. A query-cache hit with unmarked inputs never lexes.
   Joza joza(RichFragments());
   const std::string q = "SELECT * FROM records WHERE ID=17 LIMIT 5";
+  auto lexes_of = [&joza](const std::string& query,
+                          const std::vector<Input>& inputs, Verdict* out) {
+    const std::uint64_t before = sql::LexCallsForTest();
+    *out = joza.Check(query, inputs);
+    return sql::LexCallsForTest() - before;
+  };
+  Verdict v;
 
-  std::uint64_t before = sql::LexCallsForTest();
-  joza.Check(q, {});  // cold: full PTI run
-  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
+  EXPECT_EQ(lexes_of(q, {}, &v), 1u);  // cold: full PTI run
+  EXPECT_FALSE(v.query_cache_hit);
+  EXPECT_FALSE(v.structure_cache_hit);
 
-  before = sql::LexCallsForTest();
-  auto v = joza.Check(q, {});  // warm: query-cache hit
-  EXPECT_TRUE(v.query_cache_hit);
-  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
+  EXPECT_EQ(lexes_of("SELECT * FROM records WHERE ID=99 LIMIT 5", {}, &v),
+            1u);
+  EXPECT_TRUE(v.structure_cache_hit);
 
-  before = sql::LexCallsForTest();
-  v = joza.Check("SELECT * FROM records WHERE ID=1 UNION SELECT 9 LIMIT 5",
-                 {});
+  EXPECT_EQ(lexes_of("SELECT * FROM records WHERE ID=1 UNION SELECT 9 LIMIT 5",
+                     {}, &v),
+            1u);
   EXPECT_TRUE(v.attack);
-  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
 
-  before = sql::LexCallsForTest();
-  joza.Check("SELECT * FROM records WHERE ID= LIMIT", {});  // unparseable
-  EXPECT_EQ(sql::LexCallsForTest() - before, 1u);
+  EXPECT_EQ(lexes_of("SELECT * FROM records WHERE ID= LIMIT", {}, &v), 1u);
+
+  // Query-cache hit; one input too short to mark, one long enough to be
+  // matched but absent from the query.
+  EXPECT_EQ(lexes_of(q, {Get("id", "17"), Get("session", "abcdef123")}, &v),
+            0u);
+  EXPECT_TRUE(v.query_cache_hit);
+  EXPECT_FALSE(v.attack);
+  EXPECT_TRUE(v.nti.markings.empty());
+
+  // Figure 4A's text is PTI-safe, so it is cached; checked again with the
+  // payload as an input, NTI marks it and the whole-token rule lexes once.
+  const std::string fig4a = "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5";
+  EXPECT_EQ(lexes_of(fig4a, {}, &v), 1u);
+  EXPECT_FALSE(v.attack);
+  EXPECT_EQ(lexes_of(fig4a, {Get("id", "1 OR 1 = 1")}, &v), 1u);
+  EXPECT_TRUE(v.query_cache_hit);
+  EXPECT_TRUE(v.attack);
+  EXPECT_EQ(v.detected_by, DetectedBy::kNti);
+  std::vector<std::string_view> tainted;
+  for (const sql::Token& t : v.nti.tainted_critical_tokens) {
+    tainted.push_back(t.text);
+  }
+  EXPECT_EQ(tainted, (std::vector<std::string_view>{"OR", "="}));
 }
 
 TEST(Snapshot, NoInputCopiesPerCheckRequest) {
   // The request-facing entry analyzes stored inputs as borrowed views;
   // materializing per-Check copies (the old AllInputs() path) is a
-  // regression. Same counter idiom as ExactlyOneLexPerCheck.
+  // regression. Same counter idiom as LexOnlyWhenTokensAreNeeded.
   Joza joza(RichFragments());
   http::Request request = http::Request::Get(
       "/page", {{"id", "17"}, {"q", "search term"}});
