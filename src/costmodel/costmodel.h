@@ -86,9 +86,12 @@ Status ValidateModel(const CostModel& model);
 // staged exact stage (legacy NtiConfig::multi_pattern_min_inputs).
 inline constexpr std::size_t kDefaultMultiPatternMinInputs = 4;
 // One multi-pattern automaton scan only beats memchr-driven per-input
-// find() when inputs x query_bytes >= this x total_value_bytes — the
-// automaton's dense nodes cost ~1 KiB of zeroed memory per pattern byte
-// (legacy kAutomatonAmortization in nti/pipeline.cpp).
+// find() when inputs x query_bytes >= this x total_value_bytes (legacy
+// kAutomatonAmortization in nti/pipeline.cpp). The figure was tuned when
+// every automaton node was a dense 256-column row, ~1 KiB of zeroed memory
+// per pattern byte; the byte-class table fills only distinct-bytes + 1
+// columns per node, so the build it amortizes is cheaper now and 64 is
+// conservative. It stays so builtin decisions do not move.
 inline constexpr std::size_t kDefaultAutomatonAmortization = 64;
 // Smallest admission batch worth a shared BatchScope automaton (legacy
 // GatewayConfig::batch_min).

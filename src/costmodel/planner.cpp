@@ -29,7 +29,8 @@ ExactStrategy Planner::PlanExactStage(
   if (!model_) {
     // Legacy heuristic, bit-for-bit: at least the multi-pattern input
     // floor, and enough scanned query bytes per input to amortize the
-    // automaton's ~1 KiB-per-pattern-byte build cost.
+    // automaton build (a conservative ratio since the byte-class layout,
+    // see kDefaultAutomatonAmortization).
     const bool automaton =
         features.input_count >= kDefaultMultiPatternMinInputs &&
         features.input_count * features.query_bytes >=

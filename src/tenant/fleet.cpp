@@ -3,9 +3,11 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 
+#include "match/aho_corasick.h"
 #include "util/mmap_resource.h"
 
 namespace joza::tenant {
@@ -15,20 +17,12 @@ namespace {
 // Hot-footprint model, deliberately coarse but self-consistent: the
 // residency ledger charges and refunds the same estimate, so the budget
 // invariant (ledger <= budget) holds exactly regardless of how closely the
-// model tracks real RSS. The dominant term is the dense Aho–Corasick
-// automaton (~1 KiB per node, roughly one node per vocabulary byte); the
-// per-tenant floor covers engine bookkeeping, and the cache term covers
-// the sharded verdict caches at capacity.
+// model tracks real RSS. The dominant term is the PTI Aho–Corasick
+// automaton, whose byte bound match/ owns; the per-tenant floor covers
+// engine bookkeeping, and the cache term covers the sharded verdict caches
+// at capacity.
 constexpr std::uint64_t kTenantBaseBytes = 64 * 1024;
-constexpr std::uint64_t kBytesPerVocabularyByte = 1100;
 constexpr std::uint64_t kBytesPerCacheSlot = 32;
-
-std::uint64_t EstimateFromContentBytes(std::uint64_t content_bytes,
-                                       const core::JozaConfig& config) {
-  return kTenantBaseBytes + content_bytes * kBytesPerVocabularyByte +
-         static_cast<std::uint64_t>(config.cache_capacity) *
-             kBytesPerCacheSlot;
-}
 
 }  // namespace
 
@@ -105,11 +99,19 @@ std::string Fleet::ColdPath(std::string_view id) const {
 
 std::uint64_t Fleet::EstimateHotBytes(const php::FragmentSet& fragments,
                                       const core::JozaConfig& config) {
-  std::uint64_t content = 0;
+  std::size_t pattern_bytes = 0;
+  std::array<bool, 256> seen{};
   for (const php::Fragment& f : fragments.fragments()) {
-    content += f.text.size();
+    pattern_bytes += f.text.size();
+    for (const unsigned char c : f.text) seen[c] = true;
   }
-  return EstimateFromContentBytes(content, config);
+  const auto distinct_bytes =
+      static_cast<std::size_t>(std::count(seen.begin(), seen.end(), true));
+  const std::uint64_t automaton =
+      match::AhoCorasick::EstimateMemoryBytes(pattern_bytes, distinct_bytes);
+  return kTenantBaseBytes + automaton +
+         static_cast<std::uint64_t>(config.cache_capacity) *
+             kBytesPerCacheSlot;
 }
 
 Status Fleet::AddTenant(std::string_view id, php::FragmentSet seed) {
@@ -230,7 +232,7 @@ Status Fleet::DemoteLocked(std::unique_lock<std::mutex>& lock,
   entry.has_cold = true;
   entry.seed = php::FragmentSet();  // the cold image is authoritative now
   entry.bytes_estimate =
-      EstimateFromContentBytes(image.size(), options_.engine);
+      EstimateHotBytes(snapshot->pti->fragments(), options_.engine);
   entry.hot.reset();  // in-flight pins keep the engine alive (RCU)
   entry.resident = false;
   resident_bytes_ -= entry.charged_bytes;

@@ -159,6 +159,110 @@ TEST_P(AhoPropertyTest, MatchesNaiveSearch) {
   }
 }
 
+std::string RandomBytes(Rng& rng, const std::string& alphabet,
+                        std::size_t length) {
+  std::string out;
+  for (std::size_t j = 0; j < length; ++j) {
+    out.push_back(alphabet[rng.NextBelow(alphabet.size())]);
+  }
+  return out;
+}
+
+void ExpectSameHits(const AhoCorasick& ac,
+                    const std::vector<std::string>& patterns,
+                    std::string_view text) {
+  auto got = ac.FindAll(text);
+  auto want = NaiveFindAll(patterns, text);
+  SortHits(got);
+  SortHits(want);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].begin, want[i].begin);
+    EXPECT_EQ(got[i].length, want[i].length);
+    EXPECT_EQ(got[i].pattern_id, want[i].pattern_id);
+  }
+}
+
+// Property: bytes no pattern contains share one class that leads back to
+// the root. Texts draw from a wider alphabet than the patterns, so such
+// bytes ('\0' and '\xff' among them) land between matches and inside
+// would-be matches, where they must break the partial match.
+TEST_P(AhoPropertyTest, BytesOutsideThePatternsResetMatching) {
+  Rng rng(GetParam());
+  const std::string pattern_alphabet = std::string("ab") + '\x80' + '\x01';
+  const std::string text_alphabet =
+      pattern_alphabet + std::string("z\0", 2) + '\xff' + '\x7f';
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::string> patterns;
+    std::set<std::string> seen;
+    std::set<unsigned char> used;
+    const std::size_t np = 1 + rng.NextBelow(10);
+    for (std::size_t i = 0; i < np; ++i) {
+      std::string p = RandomBytes(rng, pattern_alphabet, 1 + rng.NextBelow(5));
+      if (!seen.insert(p).second) continue;
+      used.insert(p.begin(), p.end());
+      patterns.push_back(p);
+    }
+    AhoCorasick ac;
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      ac.Add(patterns[i], static_cast<std::int32_t>(i));
+    }
+    ac.Build();
+    EXPECT_EQ(ac.class_count(), used.size() + 1);
+    std::size_t pattern_bytes = 0;
+    for (const std::string& p : patterns) pattern_bytes += p.size();
+    EXPECT_LE(ac.memory_bytes(),
+              AhoCorasick::EstimateMemoryBytes(pattern_bytes, used.size()));
+
+    std::string text = RandomBytes(rng, text_alphabet, rng.NextBelow(160));
+    // Also splice a foreign byte into the middle of a pattern occurrence.
+    const std::string& victim = patterns[rng.NextBelow(patterns.size())];
+    if (victim.size() >= 2) {
+      std::string broken = victim;
+      broken.insert(broken.begin() + 1, rng.NextBelow(2) == 0 ? '\0' : '\xff');
+      text += broken + victim;
+    }
+    ExpectSameHits(ac, patterns, text);
+  }
+}
+
+// Boundary: a vocabulary that uses all 256 byte values has 257 classes,
+// the most the class map ever names.
+TEST_P(AhoPropertyTest, VocabularyOverEveryByteValue) {
+  Rng rng(GetParam());
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) all_bytes.push_back(static_cast<char>(b));
+  std::vector<std::string> patterns;
+  std::set<std::string> seen;
+  // Every byte value appears: one pattern per 8-byte slice of 0..255, plus
+  // random short patterns that overlap them.
+  for (std::size_t start = 0; start < all_bytes.size(); start += 8) {
+    patterns.push_back(all_bytes.substr(start, 8));
+    seen.insert(patterns.back());
+  }
+  for (int i = 0; i < 40; ++i) {
+    std::string p = RandomBytes(rng, all_bytes, 1 + rng.NextBelow(3));
+    if (seen.insert(p).second) patterns.push_back(p);
+  }
+  AhoCorasick ac;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    ac.Add(patterns[i], static_cast<std::int32_t>(i));
+  }
+  ac.Build();
+  EXPECT_EQ(ac.class_count(), 257u);
+  std::size_t pattern_bytes = 0;
+  for (const std::string& p : patterns) pattern_bytes += p.size();
+  EXPECT_LE(ac.memory_bytes(),
+            AhoCorasick::EstimateMemoryBytes(pattern_bytes, 256));
+
+  for (int round = 0; round < 10; ++round) {
+    std::string text = RandomBytes(rng, all_bytes, rng.NextBelow(400));
+    text += patterns[rng.NextBelow(patterns.size())];
+    text += all_bytes;
+    ExpectSameHits(ac, patterns, text);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AhoPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 

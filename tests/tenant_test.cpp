@@ -23,6 +23,7 @@
 #include "gateway/client.h"
 #include "gateway/gateway.h"
 #include "http/request.h"
+#include "match/aho_corasick.h"
 #include "phpsrc/fragments.h"
 #include "resilience/snapshot.h"
 #include "tenant/fleet.h"
@@ -245,6 +246,64 @@ TEST(Fleet, LedgerNeverExceedsBudget) {
   EXPECT_GT(s.demotions, 0u) << "six tenants over a two-tenant budget must "
                                 "have churned";
   EXPECT_LE(s.resident, 2u);
+}
+
+// A tenant that went through the cold store is charged what it was charged
+// at first promotion: the charge follows the vocabulary, not the size of
+// the cold image it was re-parsed from.
+TEST(Fleet, RepromotedTenantIsChargedAsAtFirstPromotion) {
+  ScratchDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const tenant::FleetOptions options = ColdCapableOptions(dir);
+  tenant::Fleet fleet(options);
+  ASSERT_TRUE(fleet.AddTenant("alpha", TestbedSeed()).ok());
+
+  ASSERT_TRUE(fleet.Acquire("alpha").ok());
+  const std::uint64_t first = fleet.TenantInfos().front().resident_bytes;
+  EXPECT_EQ(first,
+            tenant::Fleet::EstimateHotBytes(TestbedSeed(), options.engine));
+
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_TRUE(fleet.Demote("alpha").ok());
+    EXPECT_EQ(fleet.TenantInfos().front().resident_bytes, 0u);
+    ASSERT_TRUE(fleet.Acquire("alpha").ok());
+    EXPECT_EQ(fleet.TenantInfos().front().resident_bytes, first)
+        << "after demotion " << cycle + 1;
+  }
+  EXPECT_EQ(fleet.stats().resident_bytes, first);
+}
+
+// The ledger stays an upper bound on the automaton it pays for: a built
+// engine's PTI automaton never holds more than the tenant's estimate.
+TEST(Fleet, EstimateBoundsTheBuiltAutomaton) {
+  std::vector<php::FragmentSet> vocabularies;
+  vocabularies.push_back(TestbedSeed());
+  std::mt19937_64 rng(2015);
+  php::FragmentSet random;
+  for (int i = 0; i < 200; ++i) {
+    std::string text = "SELECT ";
+    const std::size_t length = 1 + rng() % 40;
+    for (std::size_t j = 0; j < length; ++j) {
+      text.push_back(static_cast<char>(rng() % 256));
+    }
+    random.AddRaw(text + " FROM t" + std::to_string(i));
+  }
+  ASSERT_GT(random.size(), 100u);
+  vocabularies.push_back(std::move(random));
+
+  for (std::size_t v = 0; v < vocabularies.size(); ++v) {
+    tenant::FleetOptions options;
+    tenant::Fleet fleet(options);
+    ASSERT_TRUE(fleet.AddTenant("alpha", vocabularies[v]).ok());
+    auto pin = fleet.Acquire("alpha");
+    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+    const match::AhoCorasick& automaton =
+        pin.value()->ruleset()->pti->automaton();
+    EXPECT_GT(automaton.node_count(), 1u);
+    EXPECT_GE(tenant::Fleet::EstimateHotBytes(vocabularies[v], options.engine),
+              automaton.memory_bytes())
+        << "vocabulary " << v;
+  }
 }
 
 // ---------------------------------------------------------------------------
