@@ -12,9 +12,6 @@ const std::vector<SuiteSpec>& Suites() {
       {"benign_wp",
        "WordPress.com-shaped benign mixes: protection overhead + caches",
        RunBenignWpSuite},
-      {"attack_heavy",
-       "full exploit catalog end-to-end: detection + false positives",
-       RunAttackHeavySuite},
       {"churn",
        "concurrent gateway under ruleset snapshot churn + consistency",
        RunChurnSuite},
@@ -24,9 +21,6 @@ const std::vector<SuiteSpec>& Suites() {
       {"multitenant",
        "tenant fleet under Zipf load: residency budget + verdict parity",
        RunMultitenantSuite},
-      {"costmodel",
-       "calibrated cost model: codec gates + verdict parity + throughput",
-       RunCostmodelSuite},
   };
   return kSuites;
 }

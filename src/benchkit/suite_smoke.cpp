@@ -17,7 +17,6 @@
 // are compared exactly against the committed baseline; throughput and
 // latency are machine-dependent and recorded as trajectory info only.
 #include <chrono>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,8 +116,8 @@ struct NtiSample {
 };
 
 // Benign (query, inputs) pairs harvested from the workload generators,
-// widened with extra benign inputs so every check is many-input (the shape
-// the multi-pattern exact stage is built for).
+// widened with extra benign inputs so every check is many-input and most
+// inputs descend past the exact stage into seeding and the kernel.
 std::vector<NtiSample> HarvestBenignSamples(std::size_t extra_inputs,
                                             std::uint64_t seed) {
   auto app = attack::MakeTestbed();
@@ -294,104 +293,7 @@ std::size_t CountMismatches(const std::vector<ParityCase>& cases,
   return mismatches;
 }
 
-// --- Phase 4: batched admission ablation ----------------------------------
-
-// The event-driven gateway drains ready requests in admission batches and
-// installs a core::Joza::BatchScope around each, so the staged matcher's
-// exact stage amortizes one automaton build+scan across the batch instead
-// of rebuilding per request. This ablation replays the same benign
-// many-input workload at batch sizes 1..16 and gates the batch-8 speedup.
-void BatchingAblation(SuiteResult& result, const SuiteOptions& options) {
-  auto app = attack::MakeTestbed();
-  core::JozaConfig cfg;
-  cfg.enable_pti = false;      // isolate the NTI exact stage
-  cfg.query_cache = false;     // no cache may absorb the repeated passes
-  cfg.structure_cache = false;
-  core::Joza joza = core::Joza::Install(*app, cfg);
-  auto gate = joza.MakeGate();
-
-  // A pool of input values shared across requests (the shape concurrent
-  // traffic has: the same cookies/headers on every request), embedded in
-  // each request's otherwise-unique query as benign string literals.
-  Rng rng(options.seed + 1234);
-  constexpr std::size_t kPoolValues = 32;
-  std::vector<std::string> pool;
-  for (std::size_t i = 0; i < kPoolValues; ++i) {
-    pool.push_back(rng.NextToken(12 + rng.NextBelow(5)));
-  }
-  const std::size_t count = options.quick ? 64 : 256;
-  std::vector<http::Request> requests(count);
-  std::vector<std::string> queries(count);
-  const std::string padding(420, 'p');
-  for (std::size_t i = 0; i < count; ++i) {
-    http::Request& r = requests[i];
-    r.path = "/post";
-    for (std::size_t v = 0; v < kPoolValues; ++v) {
-      const auto kind = v % 2 == 0 ? http::InputKind::kCookie
-                                   : http::InputKind::kHeader;
-      (v % 2 == 0 ? r.cookies : r.headers)
-          .emplace_back(kind, "in" + std::to_string(v), pool[v]);
-    }
-    std::string q = "SELECT id, title FROM wp_posts WHERE marker_" +
-                    std::to_string(i) + " = 0 AND note <> '" + padding +
-                    "' OR tag IN (";
-    for (const std::string& v : pool) q += "'" + v + "',";
-    q += "'end') ORDER BY id LIMIT 40";
-    queries[i] = std::move(q);
-  }
-
-  const int passes = options.quick ? 4 : 10;
-  std::size_t blocked = 0;
-  Table table({"Batch size", "checks/s", "speedup vs 1"});
-  double baseline_cps = 0.0;
-  double batch8_speedup = 0.0;
-  for (std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                            std::size_t{8}, std::size_t{16}}) {
-    auto run_pass = [&](bool count_blocked) {
-      for (std::size_t at = 0; at < count; at += batch) {
-        const std::size_t n = std::min(batch, count - at);
-        std::optional<core::Joza::BatchScope> scope;
-        if (batch > 1) {
-          scope.emplace(joza);
-          for (std::size_t k = 0; k < n; ++k) {
-            scope->Add(requests[at + k]);
-          }
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const auto decision = gate(queries[at + k], requests[at + k]);
-          if (count_blocked &&
-              decision.action != webapp::GateDecision::Action::kAllow) {
-            ++blocked;
-          }
-        }
-      }
-    };
-    run_pass(/*count_blocked=*/true);  // warmup + verdict audit
-    Stopwatch watch;
-    for (int p = 0; p < passes; ++p) run_pass(/*count_blocked=*/false);
-    const double secs = watch.ElapsedSeconds();
-    const double cps =
-        static_cast<double>(count) * passes / (secs > 0 ? secs : 1e-9);
-    if (batch == 1) baseline_cps = cps;
-    const double speedup = cps / (baseline_cps > 0 ? baseline_cps : 1e-9);
-    if (batch == 8) batch8_speedup = speedup;
-    result.AddInfo("gateway.batch" + std::to_string(batch) + ".checks_per_sec",
-                   cps, "qps");
-    table.AddRow({std::to_string(batch), Num(cps, 0), Num(speedup, 2)});
-  }
-  table.Print("Ablation: batched admission (shared-value benign workload)");
-
-  result.AddInfo("gateway.batch8_speedup_x", batch8_speedup, "x");
-  result.AddExact("gateway.batch_ablation.blocked",
-                  static_cast<double>(blocked));
-  result.RequireGe("batch admission amortizes the exact stage (batch 8)",
-                   "gateway.batch8_speedup_x", 1.3);
-  result.RequireEq("batched benign workload is never flagged",
-                   "gateway.batch_ablation.blocked", 0);
-  app->SetQueryGate(nullptr);
-}
-
-// --- Phase 5: engine-level workload --------------------------------------
+// --- Phase 4: engine-level workload --------------------------------------
 
 void EngineWorkload(SuiteResult& result, const SuiteOptions& options) {
   auto app = attack::MakeTestbed();
@@ -531,7 +433,6 @@ SuiteResult RunSmokeSuite(const SuiteOptions& options) {
   result.RequireEq("staged is verdict-identical to reference",
                    "parity.total_diffs", 0);
 
-  BatchingAblation(result, options);
   EngineWorkload(result, options);
   return result;
 }

@@ -17,11 +17,6 @@ SuiteResult RunSmokeSuite(const SuiteOptions& options);
 // protection overhead (plain vs protected) and cache effectiveness.
 SuiteResult RunBenignWpSuite(const SuiteOptions& options);
 
-// attack_heavy: the full exploit catalog (originals + NTI-evasion mutants)
-// mixed into benign traffic; gates on end-to-end detection and zero
-// benign false positives.
-SuiteResult RunAttackHeavySuite(const SuiteOptions& options);
-
 // churn: the concurrent gateway under ruleset-snapshot churn; gates on
 // reader p99/QPS loss and sequential-vs-concurrent verdict consistency.
 SuiteResult RunChurnSuite(const SuiteOptions& options);
@@ -35,11 +30,5 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options);
 // parity, the ledger never exceeding the budget, cold first-touch attacks
 // blocked, and a bounded p99 under demote/promote churn.
 SuiteResult RunMultitenantSuite(const SuiteOptions& options);
-
-// costmodel: in-process quick calibration + JZCM01 codec gates, verdict
-// parity of staged matching under measured and adversarial cost models vs
-// the reference tier, calibrated-vs-builtin throughput, and batch-admission
-// decision agreement.
-SuiteResult RunCostmodelSuite(const SuiteOptions& options);
 
 }  // namespace joza::benchkit

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "nti/batch.h"
 #include "sqlparse/lexer.h"
 #include "sqlparse/structure.h"
 #include "util/hash.h"
@@ -41,10 +40,6 @@ JozaStats& JozaStats::operator+=(const JozaStats& other) {
   nti_tier_reference += other.nti_tier_reference;
   nti_tier_bounded += other.nti_tier_bounded;
   nti_tier_staged += other.nti_tier_staged;
-  nti_planner_exact_batch += other.nti_planner_exact_batch;
-  nti_planner_exact_automaton += other.nti_planner_exact_automaton;
-  nti_planner_exact_find += other.nti_planner_exact_find;
-  nti_planner_calibrated += other.nti_planner_calibrated;
   cache_evictions += other.cache_evictions;
   pti_failures += other.pti_failures;
   breaker_fast_rejects += other.breaker_fast_rejects;
@@ -75,10 +70,6 @@ std::vector<std::pair<const char*, std::uint64_t>> JozaStats::Counters()
       {"nti_tier_reference", nti_tier_reference},
       {"nti_tier_bounded", nti_tier_bounded},
       {"nti_tier_staged", nti_tier_staged},
-      {"nti_planner_exact_batch", nti_planner_exact_batch},
-      {"nti_planner_exact_automaton", nti_planner_exact_automaton},
-      {"nti_planner_exact_find", nti_planner_exact_find},
-      {"nti_planner_calibrated", nti_planner_calibrated},
       {"cache_evictions", cache_evictions},
       {"pti_failures", pti_failures},
       {"breaker_fast_rejects", breaker_fast_rejects},
@@ -97,13 +88,6 @@ Joza::Joza(php::FragmentSet fragments, JozaConfig config)
       state_(std::make_unique<SharedState>(config.cache_capacity,
                                            config.cache_shards,
                                            config.breaker)) {
-  // Propagate the engine-level cost model into the analyzer sub-configs so
-  // it travels inside every published RulesetSnapshot; explicit per-analyzer
-  // models win.
-  if (config_.cost_model) {
-    if (!config_.nti.cost_model) config_.nti.cost_model = config_.cost_model;
-    if (!config_.pti.cost_model) config_.pti.cost_model = config_.cost_model;
-  }
   auto ruleset = pti::Ruleset::Build(std::move(fragments), config_.pti,
                                      config_.initial_ruleset_version);
   state_->snapshot.Publish(std::make_shared<const RulesetSnapshot>(
@@ -141,14 +125,6 @@ JozaStats Joza::stats() const {
       a.nti_tier_reference.load(std::memory_order_relaxed);
   out.nti_tier_bounded = a.nti_tier_bounded.load(std::memory_order_relaxed);
   out.nti_tier_staged = a.nti_tier_staged.load(std::memory_order_relaxed);
-  out.nti_planner_exact_batch =
-      a.nti_planner_exact_batch.load(std::memory_order_relaxed);
-  out.nti_planner_exact_automaton =
-      a.nti_planner_exact_automaton.load(std::memory_order_relaxed);
-  out.nti_planner_exact_find =
-      a.nti_planner_exact_find.load(std::memory_order_relaxed);
-  out.nti_planner_calibrated =
-      a.nti_planner_calibrated.load(std::memory_order_relaxed);
   out.pti_failures = a.pti_failures.load(std::memory_order_relaxed);
   out.breaker_fast_rejects =
       a.breaker_fast_rejects.load(std::memory_order_relaxed);
@@ -180,10 +156,6 @@ void Joza::ResetStats() {
   a.nti_tier_reference.store(0, std::memory_order_relaxed);
   a.nti_tier_bounded.store(0, std::memory_order_relaxed);
   a.nti_tier_staged.store(0, std::memory_order_relaxed);
-  a.nti_planner_exact_batch.store(0, std::memory_order_relaxed);
-  a.nti_planner_exact_automaton.store(0, std::memory_order_relaxed);
-  a.nti_planner_exact_find.store(0, std::memory_order_relaxed);
-  a.nti_planner_calibrated.store(0, std::memory_order_relaxed);
   a.pti_failures.store(0, std::memory_order_relaxed);
   a.breaker_fast_rejects.store(0, std::memory_order_relaxed);
   a.degraded_checks.store(0, std::memory_order_relaxed);
@@ -386,10 +358,6 @@ Verdict Joza::CheckViews(std::string_view query,
     add(a.nti_tier_reference, r.tier_reference);
     add(a.nti_tier_bounded, r.tier_bounded);
     add(a.nti_tier_staged, r.tier_staged);
-    add(a.nti_planner_exact_batch, r.planner_exact_batch);
-    add(a.nti_planner_exact_automaton, r.planner_exact_automaton);
-    add(a.nti_planner_exact_find, r.planner_exact_find);
-    add(a.nti_planner_calibrated, r.planner_calibrated);
   }
 
   verdict.attack = !pti_safe || !nti_safe;
@@ -475,29 +443,6 @@ std::string AttackReport::ToLogLine() const {
   }
   line.append(" query=\"").append(query).append("\"");
   return line;
-}
-
-Joza::BatchScope::BatchScope(const Joza& engine) {
-  // Only the staged tier consults the batch context; skip the thread-local
-  // install (and later automaton builds) when it could never be read.
-  if (engine.config().enable_nti &&
-      engine.config().nti.tier == nti::MatchTier::kStaged) {
-    scope_ = std::make_unique<nti::ScopedBatchMatch>();
-  }
-}
-
-Joza::BatchScope::~BatchScope() = default;
-
-void Joza::BatchScope::Add(const http::Request& request) {
-  if (scope_) scope_->context().Register(request);
-}
-
-std::uint64_t Joza::BatchScope::exact_scans() const {
-  return scope_ ? scope_->context().scans() : 0;
-}
-
-std::uint64_t Joza::BatchScope::exact_reuses() const {
-  return scope_ ? scope_->context().reuses() : 0;
 }
 
 webapp::QueryGate Joza::MakeGate() {

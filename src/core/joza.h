@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/sharded_cache.h"
-#include "costmodel/costmodel.h"
 #include "resilience/circuit_breaker.h"
 #include "http/request.h"
 #include "nti/nti.h"
@@ -45,10 +44,6 @@
 #include "util/span.h"
 #include "util/status.h"
 #include "webapp/application.h"
-
-namespace joza::nti {
-class ScopedBatchMatch;
-}  // namespace joza::nti
 
 namespace joza::core {
 
@@ -99,13 +94,6 @@ struct JozaConfig {
   // continues the pre-crash version line (cache salts, verdict stamps,
   // daemon handshakes) instead of restarting at zero.
   std::uint64_t initial_ruleset_version = 0;
-  // Measured cost model (costmodel::LoadCostModel / Calibrate) steering
-  // every matcher strategy decision through costmodel::Planner. Null runs
-  // the built-in hand-tuned defaults — identical to pre-calibration
-  // behavior. Propagated into the nti/pti sub-configs at construction (so
-  // it travels inside every published RulesetSnapshot) unless those
-  // already carry their own model.
-  std::shared_ptr<const costmodel::CostModel> cost_model;
 };
 
 // Everything a check needs to judge one query, bundled as one immutable
@@ -159,14 +147,6 @@ struct JozaStats {
   std::size_t nti_tier_reference = 0;
   std::size_t nti_tier_bounded = 0;
   std::size_t nti_tier_staged = 0;
-  // Planner decision histogram (sums of NtiResult::planner_*): how each
-  // eligible input's exact stage actually ran — batch-scope lookup, this
-  // check's own automaton scan, or per-input find — plus how many
-  // decisions came from a calibrated model instead of builtin defaults.
-  std::size_t nti_planner_exact_batch = 0;
-  std::size_t nti_planner_exact_automaton = 0;
-  std::size_t nti_planner_exact_find = 0;
-  std::size_t nti_planner_calibrated = 0;
   std::size_t cache_evictions = 0;
   // Degraded-path accounting: backend calls that returned an error (incl.
   // deadline misses), calls the open breaker refused without trying, checks
@@ -298,34 +278,6 @@ class Joza {
   // configured recovery policy. The Joza object must outlive the gate.
   webapp::QueryGate MakeGate();
 
-  // Batched admission entry point. While a BatchScope is alive on a
-  // thread, every Check/CheckRequest issued from that thread resolves the
-  // staged matcher's exact stage against one shared automaton built over
-  // all Add()ed requests' input values (see nti::BatchMatchContext) —
-  // verdicts are unchanged, the automaton build is just amortized across
-  // the batch. Add() every request before the first check; the requests
-  // must outlive the scope. Thread-confined, like the ambient deadline.
-  // Constructing a scope on an engine whose staged tier is not in play
-  // (NTI disabled, non-staged tier) is a no-op.
-  class BatchScope {
-   public:
-    explicit BatchScope(const Joza& engine);
-    ~BatchScope();
-
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-    void Add(const http::Request& request);
-
-    // Exact-stage accounting for the gateway's batch counters: automaton
-    // scans run vs lookups served from the batch's scan cache.
-    std::uint64_t exact_scans() const;
-    std::uint64_t exact_reuses() const;
-
-   private:
-    std::unique_ptr<nti::ScopedBatchMatch> scope_;  // null when no-op
-  };
-
   // Preprocessing hook (Section IV-B): folds newly discovered sources into
   // a successor snapshot (built off the hot path) and publishes it; checks
   // already in flight finish against the snapshot they pinned.
@@ -362,10 +314,6 @@ class Joza {
     std::atomic<std::size_t> nti_tier_reference{0};
     std::atomic<std::size_t> nti_tier_bounded{0};
     std::atomic<std::size_t> nti_tier_staged{0};
-    std::atomic<std::size_t> nti_planner_exact_batch{0};
-    std::atomic<std::size_t> nti_planner_exact_automaton{0};
-    std::atomic<std::size_t> nti_planner_exact_find{0};
-    std::atomic<std::size_t> nti_planner_calibrated{0};
     std::atomic<std::size_t> pti_failures{0};
     std::atomic<std::size_t> breaker_fast_rejects{0};
     std::atomic<std::size_t> degraded_checks{0};

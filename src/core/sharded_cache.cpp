@@ -1,7 +1,5 @@
 #include "core/sharded_cache.h"
 
-#include <algorithm>
-
 namespace joza::core {
 
 namespace {
@@ -10,6 +8,15 @@ std::size_t RoundUpPow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+// `shards` rounded up to a power of two; a bounded cache also caps it at
+// the largest power of two <= capacity, so every shard keeps at least one
+// slot and the shards together never hold more than the capacity.
+std::size_t ShardCount(std::size_t capacity, std::size_t shards) {
+  std::size_t n = RoundUpPow2(shards == 0 ? 1 : shards);
+  while (capacity != 0 && n > capacity) n >>= 1;
+  return n;
 }
 
 std::size_t Log2(std::size_t pow2) {
@@ -24,13 +31,8 @@ std::size_t Log2(std::size_t pow2) {
 }  // namespace
 
 ShardedSafetyCache::ShardedSafetyCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity),
-      shards_(RoundUpPow2(shards == 0 ? 1 : shards)) {
-  // With a tiny capacity, fewer shards than requested keep every shard
-  // non-degenerate (at least one slot each is guaranteed regardless).
-  per_shard_cap_ =
-      capacity_ == 0 ? 0
-                     : std::max<std::size_t>(1, capacity_ / shards_.size());
+    : capacity_(capacity), shards_(ShardCount(capacity, shards)) {
+  per_shard_cap_ = capacity_ / shards_.size();
   shard_shift_ = 64 - Log2(shards_.size());
 }
 

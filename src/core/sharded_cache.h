@@ -26,7 +26,8 @@ namespace joza::core {
 class ShardedSafetyCache {
  public:
   // `capacity` bounds the total entry count across all shards (0 =
-  // unbounded). `shards` is rounded up to a power of two, at least 1.
+  // unbounded). `shards` is rounded up to a power of two, at least 1; a
+  // bounded cache uses at most the largest power of two <= capacity.
   explicit ShardedSafetyCache(std::size_t capacity = 0, std::size_t shards = 16);
 
   ShardedSafetyCache(const ShardedSafetyCache&) = delete;

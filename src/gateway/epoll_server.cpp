@@ -1,6 +1,6 @@
 // Edge-triggered epoll backend: event-loop shards with SO_REUSEPORT
 // accept sockets, non-blocking read/write state machines, a timer wheel
-// per shard, and batched admission into the analysis pipeline.
+// per shard, and a bounded drain of framed requests into the application.
 //
 // Ownership model: every connection belongs to exactly one shard for its
 // whole life — the shard's thread is the only one that touches its fd,
@@ -9,13 +9,11 @@
 // listeners by 4-tuple hash. Cross-thread state is confined to
 // GatewayShared's atomics and the engine's own thread-safe innards.
 //
-// Batched admission: each loop iteration drains up to batch_max framed
-// requests from the shard's ready queue and serves them under one
-// core::Joza::BatchScope, so the staged matcher's exact stage runs one
-// automaton scan per distinct query for the whole batch instead of one
-// build per check. Admission-control semantics (AIMD 429, deadline shed
-// 503, bounded ready queue 503) are applied per request, identical to the
-// thread backend.
+// Drain loop: each loop iteration serves up to batch_max framed requests
+// from the shard's ready queue, one at a time and in arrival order, before
+// it polls sockets and timers again. Admission-control semantics (AIMD
+// 429, deadline shed 503, bounded ready queue 503) and tenant pinning are
+// applied per request, identical to the thread backend.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -27,7 +25,6 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -55,7 +52,7 @@ http::Response SimpleResponse(int status, const char* body) {
   return r;
 }
 
-// Batch-size histogram buckets: 1, 2, 3-4, 5-8, 9-16, 17+.
+// Drain-size histogram buckets: 1, 2, 3-4, 5-8, 9-16, 17+.
 std::size_t HistogramBucket(std::size_t batch_size) {
   if (batch_size <= 2) return batch_size - 1;
   if (batch_size <= 4) return 2;
@@ -129,14 +126,10 @@ class Shard {
   bool Flush(int fd, Conn& conn);
   void QueueResponse(Conn& conn, const http::Response& response,
                      bool keep_alive);
-  // Serves one batch (<= batch_max) from ready_ under one BatchScope.
-  void ProcessBatch();
-  // `route`/`pin` are set on fleet-backed servers (null otherwise): the
-  // resolved tenant and the outcome of pinning its engine for this
-  // request's run of the batch.
-  void ServeOne(const Ready& item, const StatusOr<http::Request>& parsed,
-                const TenantRoute* route = nullptr,
-                const StatusOr<tenant::Fleet::EnginePin>* pin = nullptr);
+  // Serves up to batch_max requests from the front of ready_.
+  void ServeReady();
+  // Parses, routes and serves one framed request on its connection.
+  void ServeOne(const Ready& item);
   void OnTimer(const TimerWheel::Entry& entry);
   void Arm(int fd, Conn& conn, TimerKind kind, Clock::time_point due);
   void CloseConn(int fd);
@@ -514,9 +507,7 @@ void Shard::HandleEvent(const epoll_event& ev) {
   }
 }
 
-void Shard::ServeOne(const Ready& item, const StatusOr<http::Request>& parsed,
-                     const TenantRoute* route,
-                     const StatusOr<tenant::Fleet::EnginePin>* pin) {
+void Shard::ServeOne(const Ready& item) {
   auto it = conns_.find(item.fd);
   if (it == conns_.end() || it->second.gen != item.gen) return;
   Conn& conn = it->second;
@@ -545,16 +536,30 @@ void Shard::ServeOne(const Ready& item, const StatusOr<http::Request>& parsed,
     }
   }
 
+  // Tenant routing (fleet-backed servers): resolve before admission so a
+  // 404/503 refusal never consumes an AIMD slot, and pin the tenant's
+  // engine for the whole handling below — one Acquire per request, as in
+  // the thread backend.
+  StatusOr<http::Request> parsed = http::ParseRawRequest(item.raw);
+  TenantRoute route;
+  StatusOr<tenant::Fleet::EnginePin> pin = Status::NotFound("no fleet");
+  if (parsed.ok()) {
+    route = ResolveTenant(shared_, parsed.value());
+    if (shared_.fleet != nullptr && !route.not_found) {
+      pin = shared_.fleet->Acquire(route.id);
+    }
+  }
+
   http::Response response;
   bool keep_alive = false;
   if (!parsed.ok()) {
     shared_.bad_requests.fetch_add(1, std::memory_order_relaxed);
     response.status = 400;
     response.body = "Bad Request";
-  } else if (route != nullptr && route->not_found) {
+  } else if (route.not_found) {
     response.status = 404;
     response.body = "Unknown Tenant";
-  } else if (pin != nullptr && !pin->ok()) {
+  } else if (shared_.fleet != nullptr && !pin.ok()) {
     // Fail-closed: the tenant exists but its engine could not be pinned
     // (cold image unreadable, budget refusal). Never serve unprotected.
     shared_.tenant_unavailable.fetch_add(1, std::memory_order_relaxed);
@@ -578,10 +583,10 @@ void Shard::ServeOne(const Ready& item, const StatusOr<http::Request>& parsed,
     const auto handle_start = Clock::now();
     {
       util::ScopedRequestDeadline scope(request_deadline);
-      if (pin != nullptr) {
+      if (shared_.fleet != nullptr) {
         // The pin keeps the tenant's engine alive across a concurrent
         // demotion; the gate is swapped out again before the pin drops.
-        app_->SetQueryGate(pin->value()->MakeGate());
+        app_->SetQueryGate(pin.value()->MakeGate());
         response = app_->Handle(parsed.value());
         app_->SetQueryGate(nullptr);
       } else {
@@ -620,28 +625,9 @@ void Shard::ServeOne(const Ready& item, const StatusOr<http::Request>& parsed,
   }
 }
 
-void Shard::ProcessBatch() {
+void Shard::ServeReady() {
   if (ready_.empty()) return;
   const std::size_t n = std::min(ready_.size(), config().batch_max);
-
-  struct Item {
-    Ready ready;
-    StatusOr<http::Request> parsed = Status::Unavailable("unparsed");
-    TenantRoute route = {};
-  };
-  std::vector<Item> batch;
-  batch.reserve(n);
-  std::size_t parse_ok = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    Item item{std::move(ready_.front())};
-    ready_.pop_front();
-    item.parsed = http::ParseRawRequest(item.ready.raw);
-    if (item.parsed.ok()) {
-      ++parse_ok;
-      item.route = ResolveTenant(shared_, item.parsed.value());
-    }
-    batch.push_back(std::move(item));
-  }
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   batch_requests_.fetch_add(n, std::memory_order_relaxed);
@@ -653,68 +639,12 @@ void Shard::ProcessBatch() {
                              seen_max, n, std::memory_order_relaxed)) {
   }
 
-  if (shared_.fleet != nullptr) {
-    // Tenant-routed batched admission: requests are served strictly in
-    // batch order (HTTP pipelining demands per-connection response order),
-    // so only CONSECUTIVE same-tenant items can share a pin and a
-    // BatchScope. One Acquire per run also charges the residency EWMA with
-    // the run's weight in a single touch.
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      const Item& head = batch[i];
-      if (!head.parsed.ok() || head.route.not_found) {
-        ServeOne(head.ready, head.parsed, &head.route, nullptr);
-        ++i;
-        continue;
-      }
-      std::size_t j = i + 1;
-      while (j < batch.size() && batch[j].parsed.ok() &&
-             !batch[j].route.not_found &&
-             batch[j].route.id == head.route.id) {
-        ++j;
-      }
-      const StatusOr<tenant::Fleet::EnginePin> pin =
-          shared_.fleet->Acquire(head.route.id, j - i);
-      std::optional<core::Joza::BatchScope> scope;
-      if (pin.ok() && shared_.planner.PlanBatchScope(j - i)) {
-        scope.emplace(*pin.value());
-        for (std::size_t k = i; k < j; ++k) {
-          scope->Add(batch[k].parsed.value());
-        }
-      }
-      for (std::size_t k = i; k < j; ++k) {
-        ServeOne(batch[k].ready, batch[k].parsed, &batch[k].route, &pin);
-      }
-      if (scope) {
-        shared_.batch_exact_scans.fetch_add(scope->exact_scans(),
-                                            std::memory_order_relaxed);
-        shared_.batch_exact_reuses.fetch_add(scope->exact_reuses(),
-                                             std::memory_order_relaxed);
-      }
-      i = j;
-    }
-    return;
-  }
-
-  // Batched admission into the analysis pipeline: one shared exact-match
-  // automaton for every request in the batch — but only when the cost
-  // model says the shared build amortizes (the same Planner decision the
-  // matcher pipeline uses; for tiny batches per-check work already wins).
-  std::optional<core::Joza::BatchScope> scope;
-  if (shared_.joza != nullptr && shared_.planner.PlanBatchScope(parse_ok)) {
-    scope.emplace(*shared_.joza);
-    for (const Item& item : batch) {
-      if (item.parsed.ok()) scope->Add(item.parsed.value());
-    }
-  }
-  for (const Item& item : batch) {
-    ServeOne(item.ready, item.parsed);
-  }
-  if (scope) {
-    shared_.batch_exact_scans.fetch_add(scope->exact_scans(),
-                                        std::memory_order_relaxed);
-    shared_.batch_exact_reuses.fetch_add(scope->exact_reuses(),
-                                         std::memory_order_relaxed);
+  // Strictly in arrival order: HTTP pipelining demands per-connection
+  // response order.
+  for (std::size_t i = 0; i < n; ++i) {
+    const Ready item = std::move(ready_.front());
+    ready_.pop_front();
+    ServeOne(item);
   }
 }
 
@@ -734,7 +664,7 @@ void Shard::Run() {
     for (int i = 0; i < n; ++i) HandleEvent(events[i]);
     wheel_.Advance(Clock::now(),
                    [this](const TimerWheel::Entry& e) { OnTimer(e); });
-    ProcessBatch();
+    ServeReady();
   }
   Drain();
   app_->SetQueryGate(nullptr);
@@ -749,7 +679,7 @@ void Shard::Drain() {
   }
   // Serve everything already admitted (stopping forces Connection: close
   // on each response, so served connections wind down by themselves).
-  while (!ready_.empty()) ProcessBatch();
+  while (!ready_.empty()) ServeReady();
   // Give peers a bounded window to absorb the final responses.
   const auto deadline = Clock::now() + kDrainFlushBudget;
   for (;;) {

@@ -36,13 +36,6 @@ GatewayServer::GatewayServer(AppFactory factory, tenant::Fleet* fleet,
     : GatewayServer(std::move(factory), static_cast<core::Joza*>(nullptr),
                     std::move(config)) {
   shared_->fleet = fleet;
-  // Fleet-backed servers have no single engine; seed the admission planner
-  // from the fleet's engine template so batching decisions use the same
-  // cost model every tenant engine runs with.
-  if (fleet != nullptr) {
-    shared_->planner =
-        costmodel::Planner(fleet->options().engine.cost_model);
-  }
 }
 
 GatewayServer::~GatewayServer() { Stop(); }
@@ -100,8 +93,6 @@ std::vector<std::pair<const char*, std::uint64_t>> GatewayStats::Counters()
       {"batches", batches},
       {"batched_requests", batched_requests},
       {"max_batch", max_batch},
-      {"batch_exact_scans", batch_exact_scans},
-      {"batch_exact_reuses", batch_exact_reuses},
       {"admission_limit", admission_limit},
       {"service_estimate_us", service_estimate_us},
       {"shed_p99_us", shed_p99_us},
@@ -135,10 +126,6 @@ GatewayStats GatewayServer::stats() const {
   out.batches = s.batches.load(std::memory_order_relaxed);
   out.batched_requests = s.batched_requests.load(std::memory_order_relaxed);
   out.max_batch = s.max_batch.load(std::memory_order_relaxed);
-  out.batch_exact_scans =
-      s.batch_exact_scans.load(std::memory_order_relaxed);
-  out.batch_exact_reuses =
-      s.batch_exact_reuses.load(std::memory_order_relaxed);
   out.admission_limit = static_cast<std::uint64_t>(s.aimd.limit());
   out.service_estimate_us =
       static_cast<std::uint64_t>(s.service_ewma.estimate().count());
@@ -163,10 +150,6 @@ GatewayStats GatewayServer::stats() const {
     out.nti_tier_reference = engine.nti_tier_reference;
     out.nti_tier_bounded = engine.nti_tier_bounded;
     out.nti_tier_staged = engine.nti_tier_staged;
-    out.nti_planner_exact_batch = engine.nti_planner_exact_batch;
-    out.nti_planner_exact_automaton = engine.nti_planner_exact_automaton;
-    out.nti_planner_exact_find = engine.nti_planner_exact_find;
-    out.nti_planner_calibrated = engine.nti_planner_calibrated;
   }
   return out;
 }

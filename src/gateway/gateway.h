@@ -15,9 +15,7 @@
 //     with partial-read/partial-write resumption, and a timer wheel for
 //     keep-alive idle, slowloris first-byte, and write-stall deadlines —
 //     idle connections cost memory, not threads. Each shard drains up to
-//     batch_max ready requests per tick and admits them as one batch so
-//     the staged matcher's exact stage can amortize a single automaton
-//     scan across the batch (core::Joza::BatchScope).
+//     batch_max ready requests per tick and serves them one by one.
 //
 // In both models all workers/shards share ONE core::Joza engine — its
 // sharded caches and atomic stats make Check() safe and cheap under
@@ -87,11 +85,8 @@ struct GatewayConfig {
   // Event-loop shards (epoll only). 0 means `workers`, so configs written
   // for the thread pool keep their concurrency shape on the event loop.
   std::size_t event_shards = 0;
-  // Batched admission (epoll only): a shard drains up to batch_max ready
-  // requests per tick. Whether a drained batch is worth installing a
-  // core::Joza::BatchScope (amortizing the exact match stage) is decided
-  // by costmodel::Planner::PlanBatchScope — the same cost model that
-  // steers the matcher pipeline, builtin defaults when none is loaded.
+  // Drain bound (epoll only): a shard serves up to batch_max ready
+  // requests per tick before it polls its sockets and timers again.
   std::size_t batch_max = 16;
 
   // Multi-tenant routing policy (fleet-backed servers only): what to do
@@ -106,9 +101,9 @@ struct GatewayConfig {
 // Per-event-loop-shard counters (epoll model; empty under threads).
 struct ShardStats {
   std::size_t connections = 0;  // connections this shard accepted
-  std::size_t batches = 0;      // admission batches drained
-  std::size_t requests = 0;     // requests admitted through those batches
-  // Batch-size distribution: 1, 2, 3-4, 5-8, 9-16, 17+.
+  std::size_t batches = 0;      // ready-queue drains
+  std::size_t requests = 0;     // requests served by those drains
+  // Drain-size distribution: 1, 2, 3-4, 5-8, 9-16, 17+.
   std::size_t batch_histogram[6] = {0, 0, 0, 0, 0, 0};
 };
 
@@ -123,15 +118,11 @@ struct GatewayStats {
   std::size_t shed_by_deadline = 0;      // dequeued too late to matter (503)
   std::size_t throttled_by_limiter = 0;  // AIMD concurrency refusals (429)
   std::size_t accept_overflows = 0;      // EMFILE/ENFILE accepts shed
-  // Batched admission (epoll model): batches drained, requests admitted
-  // through them, largest batch seen, and how the batch exact-match stage
-  // fared (automaton scans run vs. per-query scans served from the batch
-  // cache).
+  // Ready-queue drains (epoll model): drains, requests served by them, and
+  // the largest drain seen.
   std::size_t batches = 0;
   std::size_t batched_requests = 0;
   std::size_t max_batch = 0;
-  std::uint64_t batch_exact_scans = 0;
-  std::uint64_t batch_exact_reuses = 0;
   std::uint64_t admission_limit = 0;     // current AIMD concurrency limit
   std::uint64_t service_estimate_us = 0; // EWMA request service time
   std::uint64_t shed_p99_us = 0;         // p99 of shed-path handling time
@@ -153,7 +144,7 @@ struct GatewayStats {
   std::uint64_t ruleset_version = 0;
   std::size_t ruleset_swaps = 0;
   // NTI matcher pipeline counters mirrored from the engine (0 when serving
-  // unprotected): exact multi-pattern hits, q-gram survivors that reached
+  // unprotected): exact-stage hits, q-gram survivors that reached
   // the kernel, full DP verifications, and the per-input tier histogram.
   std::uint64_t nti_exact_hits = 0;
   std::uint64_t nti_seed_candidates = 0;
@@ -161,13 +152,6 @@ struct GatewayStats {
   std::uint64_t nti_tier_reference = 0;
   std::uint64_t nti_tier_bounded = 0;
   std::uint64_t nti_tier_staged = 0;
-  // Cost-model planner decision histogram mirrored from the engine: how
-  // each eligible input's exact stage ran (batch-scope reuse, automaton,
-  // per-input find) and how many decisions used a calibrated model.
-  std::uint64_t nti_planner_exact_batch = 0;
-  std::uint64_t nti_planner_exact_automaton = 0;
-  std::uint64_t nti_planner_exact_find = 0;
-  std::uint64_t nti_planner_calibrated = 0;
 
   // Flattened name/value export (serving-layer counters only; engine
   // counters come from JozaStats::Counters()), consumed by the benchmark

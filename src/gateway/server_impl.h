@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "costmodel/planner.h"
 #include "gateway/gateway.h"
 #include "resilience/admission.h"
 #include "resilience/hedge.h"
@@ -29,8 +28,6 @@ struct GatewayShared {
       : factory(std::move(f)),
         joza(j),
         config(c),
-        planner(j != nullptr ? costmodel::Planner(j->config().cost_model)
-                             : costmodel::Planner()),
         aimd(c.admission) {}
 
   AppFactory factory;
@@ -40,12 +37,6 @@ struct GatewayShared {
   // is non-null on a protected server).
   tenant::Fleet* fleet = nullptr;
   GatewayConfig config;
-  // Batch-admission planning: the SAME decision point the matcher pipeline
-  // uses (costmodel::Planner), so the "is shared automaton work worth it"
-  // heuristic lives in exactly one place. Seeded from the engine's cost
-  // model (fleet template for fleet-backed servers); immutable after
-  // construction, so lock-free to consult from every shard.
-  costmodel::Planner planner;
 
   resilience::AimdLimiter aimd;
   resilience::ServiceTimeEwma service_ewma;
@@ -62,13 +53,11 @@ struct GatewayShared {
   std::atomic<std::size_t> shed_by_deadline{0};
   std::atomic<std::size_t> throttled_by_limiter{0};
   // Event-loop additions: EMFILE/ENFILE accepts shed via the reserve-fd
-  // parachute, and batched-admission accounting (see epoll_server.cpp).
+  // parachute, and ready-queue drain accounting (see epoll_server.cpp).
   std::atomic<std::size_t> accept_overflows{0};
   std::atomic<std::size_t> batches{0};
   std::atomic<std::size_t> batched_requests{0};
   std::atomic<std::size_t> max_batch{0};
-  std::atomic<std::uint64_t> batch_exact_scans{0};
-  std::atomic<std::uint64_t> batch_exact_reuses{0};
   // Tenant routing roll-ups (fleet-backed servers only).
   std::atomic<std::size_t> tenant_routed{0};
   std::atomic<std::size_t> tenant_404s{0};

@@ -62,7 +62,7 @@ NtiResult NtiAnalyzer::Mark(std::string_view query,
   result.inputs_considered = eligible.size();
   if (eligible.empty()) return result;
 
-  const MatcherPipeline pipeline(query, config_, inputs, eligible, result);
+  const MatcherPipeline pipeline(query, config_, inputs, eligible);
   for (std::size_t index : eligible) {
     const match::SubstringMatch best = pipeline.Match(index, result);
     if (best.span.empty() || best.ratio > config_.threshold) continue;

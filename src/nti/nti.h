@@ -8,12 +8,10 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "costmodel/costmodel.h"
 #include "http/request.h"
 #include "sqlparse/token.h"
 #include "util/span.h"
@@ -30,9 +28,9 @@ enum class MatchTier {
   // Exact-occurrence fast path (find) + threshold-bounded Sellers with
   // per-row pruning. The pre-staged production path.
   kBounded = 1,
-  // Staged engine: one multi-pattern exact scan over all inputs at once,
-  // q-gram candidate seeding, bit-parallel Myers reject kernel, and a
-  // bounded Sellers verification only for surviving candidates. Inputs the
+  // Staged engine: a per-input exact find, q-gram candidate seeding,
+  // bit-parallel Myers reject kernel, and a bounded Sellers verification
+  // only for surviving candidates. Inputs the
   // kernel cannot take (>64 bytes, non-ASCII) fall back to kBounded.
   kStaged = 2,
 };
@@ -53,12 +51,6 @@ struct NtiConfig {
   // Matching tier policy (see MatchTier). The default staged engine is an
   // optimization, never a policy change.
   MatchTier tier = MatchTier::kStaged;
-
-  // Measured cost model steering the staged exact stage's strategy choice
-  // (automaton vs per-input find) through costmodel::Planner. Null runs
-  // the built-in hand-tuned defaults — the pre-calibration behavior,
-  // bit-for-bit. Shared across snapshots/engines; never mutated.
-  std::shared_ptr<const costmodel::CostModel> cost_model;
 
   // kBounded knobs (kept for the ablation benches): prune the Sellers DP
   // as soon as no substring can match within the threshold, and try an
@@ -100,17 +92,6 @@ struct NtiResult {
   std::size_t tier_reference = 0;
   std::size_t tier_bounded = 0;
   std::size_t tier_staged = 0;
-  // Planner decision histogram (staged exact stage): how each eligible
-  // input's exact resolution was actually executed — served from a batch
-  // scope's shared automaton, via this check's own multi-pattern scan, or
-  // via per-input find(). Distinguishes "exact stage skipped by the cost
-  // model" from "exact stage ran and found nothing".
-  std::size_t planner_exact_batch = 0;
-  std::size_t planner_exact_automaton = 0;
-  std::size_t planner_exact_find = 0;
-  // Strategy decisions taken from a measured (calibrated) model rather
-  // than the built-in defaults; one per decision, not per input.
-  std::size_t planner_calibrated = 0;
 };
 
 class NtiAnalyzer {

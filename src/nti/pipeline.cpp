@@ -1,14 +1,8 @@
 #include "nti/pipeline.h"
 
 #include <cmath>
-#include <cstdint>
-#include <limits>
-#include <unordered_map>
 
-#include "costmodel/planner.h"
-#include "match/aho_corasick.h"
 #include "match/myers.h"
-#include "nti/batch.h"
 
 namespace joza::nti {
 
@@ -38,99 +32,22 @@ match::SubstringMatch ExactMatch(std::size_t pos, std::size_t length) {
 MatcherPipeline::MatcherPipeline(std::string_view query,
                                  const NtiConfig& config,
                                  const std::vector<http::InputView>& inputs,
-                                 const std::vector<std::size_t>& eligible,
-                                 NtiResult& stats)
+                                 const std::vector<std::size_t>& eligible)
     : query_(query), config_(config), inputs_(inputs) {
   if (config_.tier != MatchTier::kStaged || eligible.empty()) return;
 
+  // Stage 1 (exact): each input's earliest exact occurrence — the same
+  // span the reference DP's tie-breaking reports for a distance-0 match.
   exact_pos_.assign(inputs_.size(), kNpos);
-
-  // Stage 1 (exact, batch path): an admission batch installed a shared
-  // automaton over every batched request's values — resolve against it
-  // (one cached scan per distinct query) and fall through to the
-  // per-check planner only for values the batch never saw.
-  std::vector<std::size_t> unresolved;
-  if (BatchMatchContext* batch = BatchMatchContext::Current()) {
-    for (std::size_t index : eligible) {
-      std::size_t pos = kNpos;
-      if (batch->Lookup(query_, inputs_[index].value, &pos)) {
-        exact_pos_[index] = pos;
-        ++stats.planner_exact_batch;
-      } else {
-        unresolved.push_back(index);
-      }
-    }
-  } else {
-    unresolved = eligible;
-  }
-
-  // Stage 1 (exact, per-check path): resolve each remaining input's
-  // earliest exact occurrence. Strategy — one multi-pattern scan vs
-  // per-input find() — is the cost-model planner's call: measured stage
-  // curves when a calibrated model is loaded, the built-in hand-tuned
-  // defaults otherwise. Duplicated values (the same payload arriving via
-  // several parameters) share one pattern on the automaton path.
-  costmodel::ExactStageFeatures features;
-  features.input_count = unresolved.size();
-  features.query_bytes = query_.size();
-  for (std::size_t index : unresolved) {
-    features.total_value_bytes += inputs_[index].value.size();
-  }
-  const costmodel::Planner planner(config_.cost_model);
-  const bool use_automaton =
-      !unresolved.empty() && planner.PlanExactStage(features) ==
-                                 costmodel::ExactStrategy::kAutomaton;
-  if (!unresolved.empty()) {
-    if (planner.calibrated()) ++stats.planner_calibrated;
-    if (use_automaton) {
-      stats.planner_exact_automaton += unresolved.size();
-    } else {
-      stats.planner_exact_find += unresolved.size();
-    }
-  }
-  if (use_automaton) {
-    match::AhoCorasick ac;
-    std::unordered_map<std::string_view, std::int32_t> dedup;
-    std::vector<std::size_t> first_hit;
-    for (std::size_t index : unresolved) {
-      const std::string_view value = inputs_[index].value;
-      if (value.empty() || value.size() > query_.size()) continue;
-      if (dedup.emplace(value, static_cast<std::int32_t>(first_hit.size()))
-              .second) {
-        ac.Add(value, static_cast<std::int32_t>(first_hit.size()));
-        first_hit.push_back(kNpos);
-      }
-    }
-    ac.Build();
-    // Hits arrive in increasing end position; for equal-length occurrences
-    // of one pattern that is also increasing start position, so the first
-    // hit recorded per pattern is the earliest occurrence — the same span
-    // query.find() (and the reference DP's tie-breaking) reports.
-    ac.Scan(query_, [&first_hit](const match::AhoCorasick::Hit& hit) {
-      if (first_hit[static_cast<std::size_t>(hit.pattern_id)] == kNpos) {
-        first_hit[static_cast<std::size_t>(hit.pattern_id)] = hit.begin;
-      }
-    });
-    for (std::size_t index : unresolved) {
-      auto it = dedup.find(inputs_[index].value);
-      if (it != dedup.end()) {
-        exact_pos_[index] = first_hit[static_cast<std::size_t>(it->second)];
-      }
-    }
-  } else {
-    for (std::size_t index : unresolved) {
-      exact_pos_[index] = query_.find(inputs_[index].value);
-    }
+  bool any_unresolved = false;
+  for (std::size_t index : eligible) {
+    exact_pos_[index] = query_.find(inputs_[index].value);
+    if (exact_pos_[index] == kNpos) any_unresolved = true;
   }
 
   // Stage 2 precomputation (seeding): the q-gram index is shared by every
   // input that was not resolved exactly. Skip it when none needs it.
-  for (std::size_t index : eligible) {
-    if (exact_pos_[index] == kNpos) {
-      qgrams_.emplace(query_);
-      break;
-    }
-  }
+  if (any_unresolved) qgrams_.emplace(query_);
 }
 
 std::size_t MatcherPipeline::ThresholdBound(std::size_t input_length) const {

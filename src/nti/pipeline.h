@@ -1,9 +1,9 @@
 // Staged NTI matching engine (one instance per analyzed query).
 //
-// Mirrors the pti::Ruleset design: all per-query precomputation — the
-// multi-pattern exact index over every input at once and the query's
-// q-gram index — is hoisted out of the per-input loop, and each input then
-// descends through progressively cheaper-to-pass / costlier-to-run stages:
+// Mirrors the pti::Ruleset design: all per-query precomputation — each
+// input's exact occurrence and the query's q-gram index — is hoisted out of
+// the per-input loop, and each input then descends through progressively
+// cheaper-to-pass / costlier-to-run stages:
 //
 //   exact scan  →  q-gram seeding  →  Myers reject kernel  →  Sellers DP
 //
@@ -29,12 +29,10 @@ class MatcherPipeline {
   // `query`, `config` and `inputs` must outlive the pipeline. `eligible`
   // holds the indices of inputs that passed the analyzer's pre-filters
   // (min length, overlong) — the only ones Match() may be asked about.
-  // Construction runs the exact stage under the strategy chosen by
-  // costmodel::Planner (config.cost_model; built-in defaults when null)
-  // and records its planner_* decision counters into `stats`.
+  // Construction runs the exact stage: one std::string::find per input.
   MatcherPipeline(std::string_view query, const NtiConfig& config,
                   const std::vector<http::InputView>& inputs,
-                  const std::vector<std::size_t>& eligible, NtiResult& stats);
+                  const std::vector<std::size_t>& eligible);
 
   // Best approximate match for inputs[index]. Identical distance, span and
   // ratio to the reference tier; pipeline counters accumulate in `stats`.
@@ -55,8 +53,7 @@ class MatcherPipeline {
   const NtiConfig& config_;
   const std::vector<http::InputView>& inputs_;
   // Earliest exact occurrence of each input's value in the query (npos =
-  // none), filled by one Aho–Corasick scan or per-input find() — whichever
-  // the cost-model planner chose. Staged tier only.
+  // none), filled by per-input find(). Staged tier only.
   std::vector<std::size_t> exact_pos_;
   // Query q-gram index, built only when some input survives the exact
   // stage. Staged tier only.

@@ -34,10 +34,8 @@ PtiResult PtiAnalyzer::Analyze(std::string_view query) const {
 
 PtiResult PtiAnalyzer::Analyze(std::string_view query,
                                const std::vector<sql::Token>& tokens) const {
-  // Dispatch on the snapshot-time plan, like the lock-free AnalyzeUnits
-  // path — the strategy was fixed when the ruleset was built.
-  return ruleset_->plan().use_automaton ? AnalyzeAho(query, tokens)
-                                        : AnalyzeNaive(query, tokens);
+  return config().use_aho_corasick ? AnalyzeAho(query, tokens)
+                                   : AnalyzeNaive(query, tokens);
 }
 
 PtiResult PtiAnalyzer::AnalyzeAho(

@@ -15,16 +15,6 @@ Ruleset::Ruleset(php::FragmentSet fragments, PtiConfig config,
     automaton_.Add(frags[i].text, static_cast<std::int32_t>(i));
   }
   automaton_.Build();
-  // Snapshot-time planning: the scan strategy and the vocabulary's shape
-  // statistics are fixed here, once per published generation — the
-  // analyze hot path only reads the precomputed plan.
-  std::vector<std::size_t> pattern_lengths;
-  pattern_lengths.reserve(frags.size());
-  for (const php::Fragment& f : frags) {
-    pattern_lengths.push_back(f.text.size());
-  }
-  plan_ = costmodel::Planner(config_.cost_model)
-              .PlanRuleset(pattern_lengths, config_.use_aho_corasick);
 }
 
 std::shared_ptr<const Ruleset> Ruleset::Build(php::FragmentSet fragments,
@@ -163,9 +153,7 @@ PtiResult AnalyzeNaive(const Ruleset& rs, std::string_view query,
 
 PtiResult AnalyzeUnits(const Ruleset& rs, std::string_view query,
                        const std::vector<sql::CriticalUnit>& units) {
-  // Strategy chosen once at snapshot build (Ruleset::plan()); this is a
-  // table lookup, never per-query arithmetic.
-  return rs.plan().use_automaton
+  return rs.config().use_aho_corasick
              ? AnalyzeAho(rs, query, units)
              : AnalyzeNaive(rs, query, units, /*mru=*/nullptr);
 }

@@ -21,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "costmodel/planner.h"
 #include "match/aho_corasick.h"
 #include "phpsrc/fragments.h"
 #include "sqlparse/critical.h"
@@ -31,15 +30,9 @@
 namespace joza::pti {
 
 struct PtiConfig {
-  // Allows the multi-pattern automaton scan; false forces the paper's
-  // original per-fragment scan (ablated in bench_ablation_match). The
-  // actual strategy is chosen once at snapshot build by the cost-model
-  // planner and recorded in Ruleset::plan().
+  // Scan the query once with the multi-pattern automaton; false runs the
+  // paper's original per-fragment scan (ablated in bench_ablation_match).
   bool use_aho_corasick = true;
-
-  // Measured cost model consulted at snapshot build (see Ruleset::plan());
-  // null falls back to the built-in defaults. Shared, never mutated.
-  std::shared_ptr<const costmodel::CostModel> cost_model;
 
   // Paper optimization #2: parse the query for critical tokens first, then
   // match only until every critical token is covered (naive path only —
@@ -82,11 +75,6 @@ class Ruleset {
   const PtiConfig& config() const { return config_; }
   std::uint64_t version() const { return version_; }
 
-  // Snapshot-time execution plan: pattern-shape statistics and the chosen
-  // scan strategy, precomputed once here so the per-check hot path does a
-  // table lookup instead of re-deriving the decision per query.
-  const costmodel::RulesetPlan& plan() const { return plan_; }
-
   static std::shared_ptr<const Ruleset> Build(php::FragmentSet fragments,
                                               PtiConfig config = {},
                                               std::uint64_t version = 0);
@@ -107,7 +95,6 @@ class Ruleset {
   PtiConfig config_;
   std::uint64_t version_ = 0;
   match::AhoCorasick automaton_;
-  costmodel::RulesetPlan plan_;
 };
 
 // Pure analysis over an immutable ruleset: no locks, no mutable state, safe
@@ -124,9 +111,9 @@ PtiResult AnalyzeNaive(const Ruleset& rs, std::string_view query,
                        const std::vector<sql::CriticalUnit>& units,
                        std::vector<std::size_t>* mru);
 
-// Dispatches on the snapshot-time plan, rs.plan().use_automaton
-// (stateless: the naive path runs without MRU ordering). Builds the
-// critical units from `tokens`, which must be the lex of `query`.
+// Dispatches on rs.config().use_aho_corasick (stateless: the naive path
+// runs without MRU ordering). Builds the critical units from `tokens`,
+// which must be the lex of `query`.
 PtiResult Analyze(const Ruleset& rs, std::string_view query,
                   const std::vector<sql::Token>& tokens);
 

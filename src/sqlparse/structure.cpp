@@ -1,6 +1,5 @@
 #include "sqlparse/structure.h"
 
-#include "sqlparse/lexer.h"
 #include "sqlparse/parser.h"
 #include "util/hash.h"
 #include "util/strings.h"
@@ -175,48 +174,6 @@ StatusOr<std::uint64_t> StructureHashOf(std::string_view query,
   auto stmt = Parse(query, tokens);
   if (!stmt.ok()) return stmt.status();
   return StructureHash(stmt.value());
-}
-
-std::uint64_t TokenSkeletonHash(std::string_view query) {
-  std::uint64_t h = kFnvOffset ^ 0xabcdef;  // domain-separated from AST hash
-  for (const Token& t : Lex(query)) {
-    h = HashCombine(h, static_cast<std::uint64_t>(t.kind));
-    switch (t.kind) {
-      case TokenKind::kNumber:
-      case TokenKind::kString:
-        break;  // blank data
-      case TokenKind::kKeyword:
-      case TokenKind::kFunction:
-      case TokenKind::kIdentifier:
-        h = HashCombine(h, Fnv1a64(ToUpper(t.text)));
-        break;
-      default:
-        h = HashCombine(h, Fnv1a64(t.text));
-        break;
-    }
-  }
-  return h;
-}
-
-std::string TokenSkeleton(std::string_view query) {
-  std::string out;
-  for (const Token& t : Lex(query)) {
-    if (!out.empty()) out.push_back(' ');
-    switch (t.kind) {
-      case TokenKind::kNumber: out += "<num>"; break;
-      case TokenKind::kString: out += "<str>"; break;
-      case TokenKind::kIdentifier: out += "<id>"; break;
-      case TokenKind::kComment: out += "<comment>"; break;
-      case TokenKind::kKeyword:
-      case TokenKind::kFunction:
-        out += ToUpper(t.text);
-        break;
-      default:
-        out += std::string(t.text);
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace joza::sql

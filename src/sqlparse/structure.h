@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -28,14 +27,5 @@ StatusOr<std::uint64_t> StructureHashOf(std::string_view query);
 // `query`) — the hot path's variant, which never re-lexes.
 StatusOr<std::uint64_t> StructureHashOf(std::string_view query,
                                         const std::vector<Token>& tokens);
-
-// Token-skeleton fallback used when a query does not parse: the sequence of
-// token kinds and critical-token texts with literal contents blanked. Never
-// fails. Distinct from StructureHash's domain (the two are never compared).
-std::uint64_t TokenSkeletonHash(std::string_view query);
-
-// Human-readable skeleton, e.g. "SELECT * FROM <id> WHERE <id> = <num>".
-// Useful for debugging and for the PTI daemon's reporting.
-std::string TokenSkeleton(std::string_view query);
 
 }  // namespace joza::sql

@@ -319,8 +319,7 @@ StatusOr<std::shared_ptr<Fleet::EngineHandle>> Fleet::BuildHandle(
   return handle;
 }
 
-StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id,
-                                          std::size_t weight) {
+StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = tenants_.find(std::string(id));
   if (it == tenants_.end()) {
@@ -329,13 +328,11 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id,
   TenantEntry& entry = *it->second;
 
   const std::uint64_t now = ++tick_;
-  entry.ewma = entry.ewma * std::pow(options_.ewma_decay,
-                                     static_cast<double>(
-                                         now - entry.last_touch)) +
-               static_cast<double>(weight);
+  const double idle_ticks = static_cast<double>(now - entry.last_touch);
+  entry.ewma = entry.ewma * std::pow(options_.ewma_decay, idle_ticks) + 1.0;
   entry.last_touch = now;
-  entry.requests += weight;
-  requests_ += weight;
+  ++entry.requests;
+  ++requests_;
 
   for (;;) {
     if (entry.hot) {

@@ -98,7 +98,7 @@ struct TenantInfo {
   bool resident = false;
   std::uint64_t ruleset_version = 0;
   std::uint64_t resident_bytes = 0;  // ledger charge while resident
-  std::uint64_t requests = 0;        // Acquire weight routed to this tenant
+  std::uint64_t requests = 0;        // Acquires routed to this tenant
   std::uint64_t cold_loads = 0;      // promotions (first touch + re-entry)
   std::uint64_t demotions = 0;
   core::JozaStats engine;  // accumulated across residency generations
@@ -139,12 +139,11 @@ class Fleet {
   bool Has(std::string_view id) const;
   std::vector<std::string> TenantIds() const;
 
-  // Routes one request's worth of work to `id`: bumps its access stats by
-  // `weight` (batched admission acquires once per same-tenant run) and
-  // returns a pin on its hot engine, promoting — and demoting victims —
-  // as needed. Fail-closed: NotFound for unknown tenants, an error when
-  // the cold image is unreadable or the budget cannot admit the tenant.
-  StatusOr<EnginePin> Acquire(std::string_view id, std::size_t weight = 1);
+  // Routes one request to `id`: bumps its access stats and returns a pin
+  // on its hot engine, promoting — and demoting victims — as needed.
+  // Fail-closed: NotFound for unknown tenants, an error when the cold
+  // image is unreadable or the budget cannot admit the tenant.
+  StatusOr<EnginePin> Acquire(std::string_view id);
 
   // Forces a tenant cold (ops hook / tests). No-op if already cold.
   Status Demote(std::string_view id);
@@ -159,9 +158,6 @@ class Fleet {
   void ReapIdle();
 
   FleetStats stats() const;
-  // The construction-time options, notably the engine template (the
-  // gateway seeds its admission planner from engine.cost_model).
-  const FleetOptions& options() const { return options_; }
   // Per-tenant accounting, id-sorted (CLI stats dump, tests).
   std::vector<TenantInfo> TenantInfos() const;
   // Engine counters summed across all tenants, resident or not.

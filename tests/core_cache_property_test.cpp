@@ -1,14 +1,17 @@
 // Soundness properties of the structure cache: data-only variation never
 // changes the hash (so benign dynamic queries hit), while grafting SQL
 // onto a cached-safe template always changes it (so a hit is never granted
-// to an injected query).
+// to an injected query). The differentials at the end hold the default
+// engine to simpler ones over the same served and attack traffic.
 #include <gtest/gtest.h>
 
 #include "attack/catalog.h"
+#include "attack/evasion.h"
 #include "attack/exploit.h"
 #include "attack/payload_gen.h"
 #include "attack/workload.h"
 #include "core/joza.h"
+#include "gateway/client.h"
 #include "pti/pti.h"
 #include "sqlparse/structure.h"
 #include "util/rng.h"
@@ -96,15 +99,15 @@ TEST(StructureCacheEndToEnd, WarmCacheGrantsNoAmnesty) {
   app->SetQueryGate(nullptr);
 }
 
-// A structure hit promotes its text into the query cache, so the query
-// cache must grant nothing the structure cache alone would not: over benign,
-// exploit and SQLMap-style traffic, the default engine and one without a
-// query cache agree on every check's verdict and on whether it ran PTI.
-TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
-  struct Check {
-    std::string query;
-    std::vector<http::Input> inputs;
-  };
+// One gated query with the inputs of the request that issued it.
+struct Check {
+  std::string query;
+  std::vector<http::Input> inputs;
+};
+
+// Corpus builder shared by the differentials below. Every (query, inputs)
+// pair the testbed's gate sees while serving `requests`, in order.
+std::vector<Check> GatedChecks(const std::vector<http::Request>& requests) {
   std::vector<Check> corpus;
   auto app = attack::MakeTestbed();
   app->SetQueryGate([&corpus](std::string_view sql,
@@ -112,24 +115,48 @@ TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
     corpus.push_back({std::string(sql), request.AllInputs()});
     return webapp::GateDecision{};  // allow
   });
-  for (const attack::WorkloadRequest& wr :
-       attack::MakeMixedWorkload(300, 0.1, 7)) {
-    app->Handle(wr.request);
-  }
+  for (const http::Request& request : requests) app->Handle(request);
   app->SetQueryGate(nullptr);
+  return corpus;
+}
+
+std::vector<http::Request> RequestsOf(
+    const std::vector<attack::WorkloadRequest>& workload) {
+  std::vector<http::Request> requests;
+  for (const attack::WorkloadRequest& wr : workload) {
+    requests.push_back(wr.request);
+  }
+  return requests;
+}
+
+// Appends the query `plugin` issues for each probe of each exploit.
+void AddProbeChecks(const attack::PluginSpec& plugin,
+                    const std::vector<attack::Exploit>& exploits,
+                    std::vector<Check>& corpus) {
+  for (const attack::Exploit& e : exploits) {
+    for (const std::string* payload : {&e.payload, &e.false_payload}) {
+      if (payload->empty()) continue;
+      corpus.push_back({attack::QueryFor(plugin, *payload),
+                        attack::InputsFor(plugin, *payload)});
+    }
+  }
+}
+
+// A structure hit promotes its text into the query cache, so the query
+// cache must grant nothing the structure cache alone would not: over benign,
+// exploit and SQLMap-style traffic, the default engine and one without a
+// query cache agree on every check's verdict and on whether it ran PTI.
+TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
+  std::vector<Check> corpus =
+      GatedChecks(RequestsOf(attack::MakeMixedWorkload(300, 0.1, 7)));
   for (const attack::PluginSpec& p : attack::PluginCatalog()) {
     std::vector<attack::Exploit> exploits =
         attack::GenerateSqlmapPayloads(p, 6, 99);
     exploits.push_back(attack::OriginalExploit(p));
-    for (const attack::Exploit& e : exploits) {
-      for (const std::string* payload : {&e.payload, &e.false_payload}) {
-        if (payload->empty()) continue;
-        corpus.push_back(
-            {attack::QueryFor(p, *payload), attack::InputsFor(p, *payload)});
-      }
-    }
+    AddProbeChecks(p, exploits, corpus);
   }
 
+  auto app = attack::MakeTestbed();
   Joza with_qc = Joza::Install(*app);
   JozaConfig no_qc_config;
   no_qc_config.query_cache = false;
@@ -150,6 +177,84 @@ TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
   }
   EXPECT_GT(with_qc.stats().query_cache_hits, 0u);
   EXPECT_GT(with_qc.stats().attacks_detected, 0u);
+}
+
+// The evidence a verdict names: PTI's untrusted and NTI's tainted critical
+// tokens, in order, each with its span in the query.
+std::vector<std::string> Evidence(const Verdict& verdict) {
+  std::vector<std::string> out;
+  auto add = [&out](const char* analyzer, const sql::Token& t) {
+    out.push_back(std::string(analyzer) + " [" +
+                  std::to_string(t.span.begin) + "," +
+                  std::to_string(t.span.end) + ") " + std::string(t.text));
+  };
+  for (const sql::Token& t : verdict.pti.untrusted_critical_tokens) {
+    add("pti", t);
+  }
+  for (const sql::Token& t : verdict.nti.tainted_critical_tokens) {
+    add("nti", t);
+  }
+  return out;
+}
+
+// The default engine (staged NTI, automaton PTI, both caches) against the
+// paper's two rules computed the slow, obvious way: the reference Sellers
+// tier, the per-fragment PTI scan, no caches, PTI in-process. Over served
+// traffic and every attack variant the testbed knows, both must name the
+// same verdict, the same analyzer and the same evidence on every check —
+// including the second pass, which the default engine answers from warm
+// caches. A diff from the structure cache is a finding, not an allowance.
+TEST(ReferenceDifferential, DefaultEngineMatchesPaperLiteralRules) {
+  // Served shape: each request goes over the wire and back, so the gate
+  // sees the inputs a gateway hands it (cookie, Host, Connection and, on a
+  // POST, Content-Type).
+  std::vector<http::Request> requests =
+      RequestsOf(attack::MakeMixedWorkload(400, 0.1, 11));
+  for (http::Request& r : RequestsOf(attack::MakeSearchWorkload(100, 13))) {
+    requests.push_back(std::move(r));
+  }
+  for (http::Request& r : requests) {
+    auto served = http::ParseRawRequest(gateway::SerializeRequest(r, true));
+    ASSERT_TRUE(served.ok()) << r.path;
+    r = std::move(served).value();
+  }
+  std::vector<Check> corpus = GatedChecks(requests);
+
+  auto app = attack::MakeTestbed();
+  const pti::PtiAnalyzer pti(php::FragmentSet::FromSources(app->sources()));
+  for (const attack::PluginSpec& p : attack::PluginCatalog()) {
+    std::vector<attack::Exploit> exploits =
+        attack::GenerateSqlmapPayloads(p, 6, 99);
+    const attack::Exploit original = attack::OriginalExploit(p);
+    exploits.push_back(original);
+    const attack::NtiMutation mutant =
+        attack::MutateForNtiEvasion(p, original, nti::NtiConfig{});
+    if (mutant.possible) exploits.push_back(mutant.exploit);
+    const attack::TaintlessResult taintless =
+        attack::RunTaintless(p, pti, *app);
+    if (taintless.success) exploits.push_back(taintless.exploit);
+    AddProbeChecks(p, exploits, corpus);
+  }
+
+  JozaConfig reference;
+  reference.nti.tier = nti::MatchTier::kReference;
+  reference.pti.use_aho_corasick = false;
+  reference.query_cache = false;
+  reference.structure_cache = false;
+  Joza fast = Joza::Install(*app);
+  Joza slow = Joza::Install(*app, reference);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Check& c : corpus) {
+      const Verdict a = fast.Check(c.query, c.inputs);
+      const Verdict b = slow.Check(c.query, c.inputs);
+      ASSERT_EQ(a.attack, b.attack) << c.query;
+      ASSERT_EQ(a.detected_by, b.detected_by) << c.query;
+      ASSERT_EQ(Evidence(a), Evidence(b)) << c.query;
+    }
+  }
+  EXPECT_GT(fast.stats().query_cache_hits, 0u);
+  EXPECT_GT(fast.stats().structure_cache_hits, 0u);
+  EXPECT_GT(slow.stats().attacks_detected, 0u);
 }
 
 // Benign-per-endpoint PTI coverage: with the full testbed vocabulary,

@@ -41,10 +41,15 @@ TEST(ShardedSafetyCache, UnboundedNeverEvicts) {
 }
 
 TEST(ShardedSafetyCache, BoundedStaysWithinCapacity) {
-  core::ShardedSafetyCache cache(/*capacity=*/256, /*shards=*/8);
-  for (std::uint64_t h = 0; h < 100000; ++h) cache.Insert(h);
-  EXPECT_LE(cache.size(), 256u);
-  EXPECT_GT(cache.evictions(), 0u);
+  // (capacity, shards): the last two ask for more shards than slots.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {256, 8}, {4, 16}, {15, 16}};
+  for (const auto& [capacity, shards] : cases) {
+    core::ShardedSafetyCache cache(capacity, shards);
+    for (std::uint64_t h = 0; h < 100000; ++h) cache.Insert(h);
+    EXPECT_LE(cache.size(), capacity) << capacity << "/" << shards;
+    EXPECT_GT(cache.evictions(), 0u) << capacity << "/" << shards;
+  }
 }
 
 TEST(ShardedSafetyCache, ClockKeepsHotEntriesResident) {

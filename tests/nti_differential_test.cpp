@@ -113,7 +113,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NtiDifferentialTest,
 
 // --- Staged pipeline vs reference tier: full-result equality --------------
 //
-// The staged engine (multi-pattern exact scan, q-gram seeding, Myers reject
+// The staged engine (per-input exact find, q-gram seeding, Myers reject
 // kernel, bounded verification) claims verdict-identity with the reference
 // Sellers tier: same attack bit, same marking spans, same tainted critical
 // tokens. These tests enforce it over randomized corpora (plain ASCII and

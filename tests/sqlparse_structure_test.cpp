@@ -74,23 +74,5 @@ TEST(Structure, UnparseableQueryFails) {
   EXPECT_FALSE(StructureHashOf("SELECT FROM WHERE").ok());
 }
 
-TEST(TokenSkeleton, BlanksData) {
-  EXPECT_EQ(TokenSkeleton("SELECT * FROM t WHERE id = 42"),
-            "SELECT * FROM <id> WHERE <id> = <num>");
-  EXPECT_EQ(TokenSkeleton("SELECT 'abc'"), "SELECT <str>");
-}
-
-TEST(TokenSkeleton, HashConsistentWithSkeleton) {
-  EXPECT_EQ(TokenSkeletonHash("SELECT * FROM t WHERE id = 1"),
-            TokenSkeletonHash("SELECT * FROM t WHERE id = 777"));
-  EXPECT_NE(TokenSkeletonHash("SELECT * FROM t WHERE id = 1"),
-            TokenSkeletonHash("SELECT * FROM t WHERE id = 1 OR 1 = 1"));
-}
-
-TEST(TokenSkeleton, KeywordCaseNormalized) {
-  EXPECT_EQ(TokenSkeletonHash("select * from T"),
-            TokenSkeletonHash("SELECT * FROM t"));
-}
-
 }  // namespace
 }  // namespace joza::sql

@@ -8,7 +8,7 @@
 //                [--hedge-ms N] [--hedge-p99] [--restart-budget N]
 //                [--snapshot-path FILE] [--source-updates N]
 //                [--tenants FILE] [--memory-budget-mb N] [--cold-dir DIR]
-//                [--unknown-tenant default|404] [--cost-model FILE]
+//                [--unknown-tenant default|404]
 //
 // Binds 127.0.0.1 (port 0 picks a free port), installs one shared Joza
 // engine across the whole worker pool, and serves until the duration
@@ -19,7 +19,7 @@
 // Serving io model: --io-model epoll (the default) runs the edge-triggered
 // event loop with --event-shards per-core shards (default: hardware
 // threads), each owning its own SO_REUSEPORT accept socket and draining
-// ready requests in admission batches; --io-model threads restores the
+// its ready requests in bounded runs; --io-model threads restores the
 // blocking accept-loop + worker-pool model. --event-shards must be >= 1.
 //
 // Fault tolerance knobs: --deadline-ms bounds each request's processing
@@ -52,12 +52,6 @@
 // persists to and warm-starts from <path>.<tenant>; the default tenant
 // also migrates a legacy un-suffixed snapshot.
 //
-// --cost-model FILE loads a calibrated JZCM01 cost model (produced by
-// joza_calibrate) and steers every matcher strategy decision — the NTI
-// exact stage, the PTI ruleset plan, and the gateway's batched admission —
-// through it. A missing or corrupt artifact fails closed to the built-in
-// hand-tuned defaults (with a warning), never to a garbage model.
-//
 // Exit codes: 0 success, 2 config/usage parse failure, 3 bind/listen
 // failure.
 #include <csignal>
@@ -75,7 +69,6 @@
 
 #include "attack/catalog.h"
 #include "core/joza.h"
-#include "costmodel/codec.h"
 #include "gateway/gateway.h"
 #include "ipc/daemon_pool.h"
 #include "phpsrc/fragments.h"
@@ -105,7 +98,7 @@ int UsageError(const char* argv0) {
       "          [--hedge-ms N] [--hedge-p99] [--restart-budget N]\n"
       "          [--snapshot-path FILE] [--source-updates N]\n"
       "          [--tenants FILE] [--memory-budget-mb N] [--cold-dir DIR]\n"
-      "          [--unknown-tenant default|404] [--cost-model FILE]\n",
+      "          [--unknown-tenant default|404]\n",
       argv0);
   return kExitConfigError;
 }
@@ -153,7 +146,6 @@ int main(int argc, char** argv) {
   std::size_t breaker_threshold = 5;
   joza::core::DegradedMode degraded_mode =
       joza::core::DegradedMode::kFailClosed;
-  std::string cost_model_path;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -233,8 +225,6 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(value, "fail-closed") != 0) {
         return UsageError(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--cost-model") == 0 && (value = next())) {
-      cost_model_path = value;
     } else if (std::strcmp(argv[i], "--fault") == 0 && (value = next())) {
       if (Status st = resilience::ArmFromSpec(
               resilience::FaultInjector::Global(), value);
@@ -253,23 +243,6 @@ int main(int argc, char** argv) {
   config.cache_capacity = cache_capacity;
   config.degraded_mode = degraded_mode;
   config.breaker.failure_threshold = breaker_threshold;
-
-  // Calibrated cost model: fail-closed. Any load anomaly (missing,
-  // truncated, corrupt, implausible coefficients) leaves cost_model null
-  // and every planner on the built-in hand-tuned defaults.
-  bool cost_model_loaded = false;
-  if (!cost_model_path.empty()) {
-    auto model = costmodel::LoadCostModel(cost_model_path);
-    if (model.ok()) {
-      config.cost_model = std::make_shared<const costmodel::CostModel>(
-          std::move(model).value());
-      cost_model_loaded = true;
-    } else {
-      std::fprintf(stderr,
-                   "cost model not loaded (builtin heuristics): %s\n",
-                   model.status().ToString().c_str());
-    }
-  }
 
   // Warm start: recover the fragment vocabulary + ruleset version from the
   // crash-durable snapshot. Any anomaly (missing, truncated, corrupt,
@@ -408,9 +381,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf("io model:     threads\n");
   }
-  std::printf("cost model:   %s\n",
-              cost_model_loaded ? cost_model_path.c_str()
-                                : "builtin heuristics");
   if (fleet) {
     std::printf("fleet:        %zu tenants, budget %ld MB, cold dir %s, "
                 "unknown-tenant %s\n",
@@ -494,12 +464,9 @@ int main(int argc, char** argv) {
               gs.throttled_by_limiter, gs.shed_by_deadline,
               static_cast<unsigned long long>(gs.shed_p99_us));
   std::printf("io:          %zu accept overflows, %zu batches / "
-              "%zu batched requests (max %zu), "
-              "%llu exact scans, %llu reuses\n",
+              "%zu batched requests (max %zu)\n",
               gs.accept_overflows, gs.batches, gs.batched_requests,
-              gs.max_batch,
-              static_cast<unsigned long long>(gs.batch_exact_scans),
-              static_cast<unsigned long long>(gs.batch_exact_reuses));
+              gs.max_batch);
   const std::vector<gateway::ShardStats> shards = server->shard_stats();
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const gateway::ShardStats& sh = shards[s];
@@ -553,11 +520,6 @@ int main(int argc, char** argv) {
               "tiers %zu ref / %zu bounded / %zu staged\n",
               js.nti_exact_hits, js.nti_seed_candidates, js.nti_dp_runs,
               js.nti_tier_reference, js.nti_tier_bounded, js.nti_tier_staged);
-  std::printf("planner:     exact stage %zu batch-scope / %zu automaton / "
-              "%zu find; %zu calibrated decisions (%s)\n",
-              js.nti_planner_exact_batch, js.nti_planner_exact_automaton,
-              js.nti_planner_exact_find, js.nti_planner_calibrated,
-              cost_model_loaded ? "measured model" : "builtin");
   std::printf("degraded:    mode %s, %zu pti failures, %zu degraded checks, "
               "%zu degraded blocks, %zu breaker fast-rejects\n",
               core::DegradedModeName(degraded_mode), js.pti_failures,
