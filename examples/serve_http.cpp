@@ -5,16 +5,21 @@
 
 #include "attack/catalog.h"
 #include "core/joza.h"
-#include "webapp/http_server.h"
+#include "gateway/client.h"
+#include "gateway/gateway.h"
 
 int main() {
   using namespace joza;
 
-  auto app = attack::MakeTestbed();
-  core::Joza joza = core::Joza::Install(*app);
-  app->SetQueryGate(joza.MakeGate());
+  // The engine learns its fragments from one copy of the testbed; the
+  // gateway's single handler serves another copy behind the engine's gate.
+  auto proto = attack::MakeTestbed();
+  core::Joza joza = core::Joza::Install(*proto);
 
-  webapp::HttpServer server(*app);
+  gateway::GatewayConfig config;
+  config.workers = 1;
+  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza,
+                                config);
   auto port = server.Start();
   if (!port.ok()) {
     std::printf("failed to start: %s\n", port.status().ToString().c_str());
@@ -23,8 +28,9 @@ int main() {
   std::printf("WP-SQLI-LAB (protected) listening on 127.0.0.1:%d\n\n",
               port.value());
 
+  gateway::KeepAliveClient client(port.value());
   auto fetch = [&](const char* label, const std::string& path) {
-    auto r = webapp::HttpGet(port.value(), path);
+    auto r = client.Get(path);
     if (!r.ok()) {
       std::printf("%-8s GET %-55s -> error\n", label, path.c_str());
       return;
@@ -48,7 +54,8 @@ int main() {
                   "%20--%20a");
 
   std::printf("\nserved %zu requests; Joza blocked %zu attacks\n",
-              server.requests_served(), joza.stats().attacks_detected);
+              server.stats().requests_served,
+              joza.stats().attacks_detected);
   server.Stop();
   return 0;
 }

@@ -3,9 +3,9 @@
 // bench_gateway_scale main().
 //
 // Phases:
-//   1. Throughput scaling: the seed's single-threaded HTTP/1.0 server vs
-//      the gateway at 1/2/4/8 workers (all Joza-protected), plus the
-//      unprotected gateway floor — informational trajectory rows.
+//   1. Throughput scaling: the gateway at 1/2/4/8 workers (all
+//      Joza-protected), plus the unprotected gateway floor — informational
+//      trajectory rows.
 //   2. Snapshot churn (gated): the 8-worker gateway serving identical
 //      traffic read-only vs under continuous ruleset swaps. Readers may
 //      lose at most 25% of p99 latency and throughput (+0.25 ms absolute
@@ -14,12 +14,12 @@
 //   3. Verdict consistency (gated): mixed benign/attack traffic must block
 //      exactly the same requests sequentially and across 8 concurrent
 //      clients.
-//   4. Connection scale (gated): the epoll gateway holds 10k (quick: 2k)
+//   4. Connection scale (gated): the gateway holds 10k (quick: 2k)
 //      mostly-idle keep-alive connections — raising RLIMIT_NOFILE as
 //      needed, since client and server fds share this process — while 8
 //      active clients drive load; every idle connection must still answer
 //      at the end, and QPS/p99 under the idle mass must stay within range
-//      of the thread-pool model at its own maximum concurrency.
+//      of the same server and load without it.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -39,7 +39,6 @@
 #include "core/joza.h"
 #include "gateway/client.h"
 #include "gateway/gateway.h"
-#include "webapp/http_server.h"
 
 namespace joza::benchkit {
 
@@ -114,41 +113,7 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
   Table table({"Server", "Workers", "Joza", "QPS", "p50 ms", "p99 ms",
                "Fail"});
 
-  // --- Phase 1a: the seed's single-threaded HTTP/1.0 server --------------
-  double baseline_qps = 0;
-  {
-    auto app = attack::MakeTestbed();
-    core::Joza joza = core::Joza::Install(*app);
-    app->SetQueryGate(joza.MakeGate());
-    webapp::HttpServer server(*app);
-    auto port = server.Start();
-    if (!port.ok()) {
-      std::fprintf(stderr, "baseline start failed: %s\n",
-                   port.status().ToString().c_str());
-      result.AddExact("setup.failed", 1);
-      result.RequireEq("servers start", "setup.failed", 0);
-      return result;
-    }
-    RunResult r = DriveClients(kClients, per_client, [&](std::size_t c) {
-      return [&, c](std::size_t i) {
-        // HTTP/1.0 model: fresh connection per request.
-        auto resp = webapp::FetchRaw(
-            port.value(), crawl[(c * per_client + i) % crawl.size()]);
-        return resp.ok();
-      };
-    });
-    baseline_qps = r.qps();
-    result.AddInfo("http10.qps", r.qps(), "qps");
-    result.AddInfo("http10.p99_ms", r.p99_ms, "ms");
-    table.AddRow({"http/1.0 seed", "1", "yes", Num(r.qps(), 0),
-                  Num(r.p50_ms, 3), Num(r.p99_ms, 3),
-                  std::to_string(r.failures)});
-    server.Stop();
-    app->SetQueryGate(nullptr);
-  }
-
-  // --- Phase 1b: gateway at increasing worker counts ---------------------
-  double gateway8_qps = 0;
+  // --- Phase 1a: gateway at increasing worker counts ---------------------
   std::size_t scaling_failures = 0;
   const std::vector<std::size_t> worker_counts =
       options.quick ? std::vector<std::size_t>{1, 8}
@@ -176,7 +141,6 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
         return resp.ok();
       };
     });
-    if (workers == 8) gateway8_qps = r.qps();
     scaling_failures += r.failures;
     result.AddInfo("gateway.w" + std::to_string(workers) + ".qps", r.qps(),
                    "qps");
@@ -188,7 +152,7 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
     server.Stop();
   }
 
-  // --- Phase 1c: gateway without Joza — the wire/threading floor ----------
+  // --- Phase 1b: gateway without Joza — the wire/threading floor ----------
   {
     gateway::GatewayConfig gcfg;
     gcfg.workers = 8;
@@ -214,12 +178,6 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
   }
 
   table.Print("Gateway scaling (8 keep-alive clients, crawl workload)");
-  if (baseline_qps > 0) {
-    result.AddInfo("gateway.w8_vs_http10_x", gateway8_qps / baseline_qps,
-                   "x");
-    std::printf("\nGateway x8 vs single-threaded HTTP/1.0 baseline: %.2fx\n",
-                gateway8_qps / baseline_qps);
-  }
   result.AddExact("scaling.transport_failures",
                   static_cast<double>(scaling_failures));
   result.RequireEq("no transport failures while scaling",
@@ -233,12 +191,6 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
     core::Joza joza = core::Joza::Install(*proto, config);
     gateway::GatewayConfig gcfg;
     gcfg.workers = 8;
-    // Pinned to the thread model: this gate isolates the RCU reader cost
-    // of snapshot swaps. On the event loop a CPU-heavy churner also causes
-    // head-of-line scheduling stalls across a shard's connections, which
-    // inflates p99 for reasons unrelated to reader-side locking (the
-    // connection-scale phase below covers the event loop's tail).
-    gcfg.io_model = gateway::GatewayConfig::IoModel::kThreads;
     gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza,
                                   gcfg);
     auto port = server.Start();
@@ -436,11 +388,11 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
       gcfg.keepalive_timeout = std::chrono::milliseconds(120000);
       return gcfg;
     };
-    auto run_load = [&](gateway::GatewayConfig::IoModel model,
-                        core::Joza& joza_engine,
+    // With `sustained_out` set, `target` parked connections sit on the
+    // server during the load and are probed afterwards.
+    auto run_load = [&](core::Joza& joza_engine,
                         std::size_t* sustained_out) -> RunResult {
       gateway::GatewayConfig gcfg = make_config();
-      gcfg.io_model = model;
       gateway::GatewayServer server([] { return attack::MakeTestbed(); },
                                     &joza_engine, gcfg);
       auto port = server.Start();
@@ -451,7 +403,7 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
       std::vector<std::unique_ptr<gateway::KeepAliveClient>> herd;
       if (sustained_out != nullptr) {
         // Park `target` keep-alive connections, each proven live by one
-        // served request. They then sit idle on the event loop while the
+        // served request. They then sit idle on the shards while the
         // active clients below drive load.
         for (std::size_t i = 0; i < target; ++i) {
           auto conn =
@@ -494,37 +446,33 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
     };
 
     std::size_t sustained = 0;
-    double epoll_qps = 0, epoll_p99 = 0, thread_qps = 0, thread_p99 = 0;
+    double epoll_qps = 0, epoll_p99 = 0, no_idle_qps = 0, no_idle_p99 = 0;
     {
       auto proto = attack::MakeTestbed();
       core::JozaConfig config;
       config.cache_capacity = 1 << 16;
       core::Joza joza = core::Joza::Install(*proto, config);
-      // The thread model serves the same active load at its own maximum
-      // concurrency (8 workers); it cannot hold the idle herd at all —
-      // every parked connection would pin a worker thread. Measured first
-      // so any process-wide cold-start cost lands on neither model's
-      // comparison leg unfairly.
-      RunResult r = run_load(gateway::GatewayConfig::IoModel::kThreads, joza,
-                             nullptr);
-      thread_qps = r.qps();
-      thread_p99 = r.p99_ms;
+      // The same server and active load with no parked connections.
+      // Measured first so any process-wide cold-start cost lands on
+      // neither comparison leg unfairly.
+      RunResult r = run_load(joza, nullptr);
+      no_idle_qps = r.qps();
+      no_idle_p99 = r.p99_ms;
     }
     {
       auto proto = attack::MakeTestbed();
       core::JozaConfig config;
       config.cache_capacity = 1 << 16;
       core::Joza joza = core::Joza::Install(*proto, config);
-      RunResult r = run_load(gateway::GatewayConfig::IoModel::kEpoll, joza,
-                             &sustained);
+      RunResult r = run_load(joza, &sustained);
       epoll_qps = r.qps();
       epoll_p99 = r.p99_ms;
     }
 
-    Table scale({"Model", "Idle conns", "QPS", "p99 ms"});
-    scale.AddRow({"epoll", std::to_string(sustained), Num(epoll_qps, 0),
+    Table scale({"Idle conns", "QPS", "p99 ms"});
+    scale.AddRow({std::to_string(sustained), Num(epoll_qps, 0),
                   Num(epoll_p99, 3)});
-    scale.AddRow({"threads", "0", Num(thread_qps, 0), Num(thread_p99, 3)});
+    scale.AddRow({"0", Num(no_idle_qps, 0), Num(no_idle_p99, 3)});
     scale.Print("Connection scale (active load under " +
                 std::to_string(target) + " parked keep-alive connections)");
 
@@ -532,20 +480,19 @@ SuiteResult RunChurnSuite(const SuiteOptions& options) {
                    "conns");
     result.AddInfo("connscale.epoll.qps", epoll_qps, "qps");
     result.AddInfo("connscale.epoll.p99_ms", epoll_p99, "ms");
-    result.AddInfo("connscale.threads.qps", thread_qps, "qps");
-    result.AddInfo("connscale.threads.p99_ms", thread_p99, "ms");
+    result.AddInfo("connscale.no_idle.qps", no_idle_qps, "qps");
+    result.AddInfo("connscale.no_idle.p99_ms", no_idle_p99, "ms");
     if (target >= 256) {
       result.RequireGe("every parked connection survives and answers",
                        "connscale.sustained",
                        static_cast<double>(target));
-      // Slack bounds: the event loop must stay in the thread pool's range
-      // while carrying four orders of magnitude more connections than the
-      // pool could hold. Machine-dependent, so gated with grace margins.
-      result.RequireGe("epoll qps under idle mass within 25% of threads",
-                       "connscale.epoll.qps", thread_qps * 0.75);
-      result.RequireLe("epoll p99 under idle mass bounded vs threads",
-                       "connscale.epoll.p99_ms",
-                       thread_p99 * 1.5 + 0.25);
+      // Slack bounds: carrying the idle mass must leave the active load
+      // in range of the same server without it. Machine-dependent, so
+      // gated with grace margins.
+      result.RequireGe("qps under idle mass within 25% of no idle mass",
+                       "connscale.epoll.qps", no_idle_qps * 0.75);
+      result.RequireLe("p99 under idle mass bounded vs no idle mass",
+                       "connscale.epoll.p99_ms", no_idle_p99 * 1.5 + 0.25);
     } else {
       std::printf("connscale: fd limit %llu too low, gates skipped\n",
                   static_cast<unsigned long long>(lim.rlim_cur));

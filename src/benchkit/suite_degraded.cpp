@@ -79,7 +79,7 @@ PhaseResult DrivePhase(int port, std::size_t requests,
   for (std::size_t i = 0; i < requests; ++i) {
     const bool is_exploit = (i % 8) == 7;
     const auto t0 = std::chrono::steady_clock::now();
-    StatusOr<webapp::SimpleResponse> response =
+    StatusOr<gateway::Reply> response =
         is_exploit
             ? client.Send(http::Request::Get(
                   plugin.route, {{plugin.param, exploit_payload}}))
@@ -142,7 +142,7 @@ OverloadResult DriveOverload(int port, std::size_t clients,
       OverloadResult local;
       for (std::size_t i = 0; i < per_client; ++i) {
         const bool is_exploit = ((c + i) % 8) == 7;
-        StatusOr<webapp::SimpleResponse> response =
+        StatusOr<gateway::Reply> response =
             is_exploit
                 ? client.Send(http::Request::Get(
                       plugin.route, {{plugin.param, exploit_payload}}))

@@ -10,10 +10,28 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "http/request_parser.h"
 #include "util/codec.h"
 #include "util/strings.h"
 
 namespace joza::gateway {
+
+Status SendAll(int fd, std::string_view data) {
+  std::size_t sent = 0;
+  while (sent < data.size()) {
+    // MSG_NOSIGNAL: a peer that disconnected mid-request must surface as
+    // EPIPE here, not as a process-wide SIGPIPE.
+    ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable(std::string("send(): ") +
+                                 std::strerror(errno));
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return Status::Ok();
+}
 
 std::string SerializeRequest(const http::Request& request, bool keep_alive) {
   std::string query;
@@ -95,12 +113,12 @@ StatusOr<std::string> KeepAliveClient::ReadOneResponse() {
     header_end = buf_.find("\r\n\r\n");
   }
   std::size_t content_length = 0;
-  const std::size_t cl =
-      FindIgnoreCase(std::string_view(buf_).substr(0, header_end),
-                     "content-length:");
-  if (cl != std::string_view::npos) {
+  const std::optional<std::string_view> declared = http::FindHeader(
+      std::string_view(buf_).substr(0, header_end), "content-length");
+  if (declared) {
+    // The value points into buf_ and is followed by CRLF.
     content_length = static_cast<std::size_t>(
-        std::strtoul(buf_.c_str() + cl + 15, nullptr, 10));
+        std::strtoul(declared->data(), nullptr, 10));
   }
   const std::size_t total = header_end + 4 + content_length;
   while (buf_.size() < total) {
@@ -119,7 +137,7 @@ StatusOr<std::string> KeepAliveClient::ReadOneResponse() {
 
 StatusOr<std::string> KeepAliveClient::TryRoundTrip(const std::string& raw) {
   if (Status st = EnsureConnected(); !st.ok()) return st;
-  if (Status st = webapp::SendAll(fd_, raw); !st.ok()) {
+  if (Status st = SendAll(fd_, raw); !st.ok()) {
     Close();
     return st;
   }
@@ -138,33 +156,27 @@ StatusOr<std::string> KeepAliveClient::RoundTrip(const std::string& raw) {
   return TryRoundTrip(raw);
 }
 
-StatusOr<webapp::SimpleResponse> KeepAliveClient::Finish(
-    StatusOr<std::string> raw) {
+StatusOr<Reply> KeepAliveClient::Finish(StatusOr<std::string> raw) {
   if (!raw.ok()) return raw.status();
   const std::string& text = raw.value();
-  webapp::SimpleResponse out;
+  Reply out;
   const std::size_t sp = text.find(' ');
   if (sp == std::string::npos) return Status::ParseError("bad status line");
   out.status = std::atoi(text.c_str() + sp + 1);
   const std::size_t body = text.find("\r\n\r\n");
   if (body != std::string::npos) out.body = text.substr(body + 4);
   // Respect a server-side close so the next call reconnects cleanly.
-  const std::size_t headers_end =
-      body == std::string::npos ? text.size() : body;
-  if (FindIgnoreCase(std::string_view(text).substr(0, headers_end),
-                     "connection: close") != std::string_view::npos) {
-    Close();
-  }
+  const std::optional<std::string_view> connection = http::FindHeader(
+      std::string_view(text).substr(0, body), "connection");
+  if (connection && ContainsIgnoreCase(*connection, "close")) Close();
   return out;
 }
 
-StatusOr<webapp::SimpleResponse> KeepAliveClient::Send(
-    const http::Request& request) {
+StatusOr<Reply> KeepAliveClient::Send(const http::Request& request) {
   return Finish(RoundTrip(SerializeRequest(request, true)));
 }
 
-StatusOr<webapp::SimpleResponse> KeepAliveClient::Get(
-    const std::string& path_and_query) {
+StatusOr<Reply> KeepAliveClient::Get(const std::string& path_and_query) {
   return Finish(RoundTrip("GET " + path_and_query +
                           " HTTP/1.1\r\nHost: localhost\r\n"
                           "Connection: keep-alive\r\n\r\n"));

@@ -1,29 +1,43 @@
 #include "gateway/server_impl.h"
 
+#include "http/request_parser.h"
 #include "util/strings.h"
-#include "webapp/http_server.h"
 
 namespace joza::gateway::internal {
 
+namespace {
+
+// Standard reason phrase for the status codes this stack emits.
+const char* ReasonPhrase(int status) {
+  switch (status) {
+    case 200: return "OK";
+    case 400: return "Bad Request";
+    case 404: return "Not Found";
+    case 408: return "Request Timeout";
+    case 413: return "Payload Too Large";
+    case 500: return "Internal Server Error";
+    case 503: return "Service Unavailable";
+    default: return "Status";
+  }
+}
+
+}  // namespace
+
 bool WantsKeepAlive(std::string_view raw) {
-  const std::size_t line_end = raw.find("\r\n");
-  const bool http11 =
-      raw.substr(0, line_end == std::string_view::npos ? 0 : line_end)
-          .find("HTTP/1.1") != std::string_view::npos;
   const std::size_t header_end = raw.find("\r\n\r\n");
-  const std::string_view headers =
+  const std::string_view head =
       raw.substr(0, header_end == std::string_view::npos ? raw.size()
                                                          : header_end);
-  const std::size_t conn = FindIgnoreCase(headers, "connection:");
-  if (conn == std::string_view::npos) return http11;
-  const std::size_t value_end = headers.find("\r\n", conn);
-  const std::string_view value = headers.substr(
-      conn, value_end == std::string_view::npos ? headers.size() - conn
-                                                : value_end - conn);
-  if (FindIgnoreCase(value, "close") != std::string_view::npos) return false;
-  if (FindIgnoreCase(value, "keep-alive") != std::string_view::npos) {
-    return true;
-  }
+  // The version is the request line's last token.
+  const std::string_view request_line = head.substr(0, head.find("\r\n"));
+  const std::size_t space = request_line.rfind(' ');
+  const bool http11 = space != std::string_view::npos &&
+                      request_line.substr(space + 1) == "HTTP/1.1";
+  const std::optional<std::string_view> value =
+      http::FindHeader(head, "connection");
+  if (!value) return http11;
+  if (ContainsIgnoreCase(*value, "close")) return false;
+  if (ContainsIgnoreCase(*value, "keep-alive")) return true;
   return http11;
 }
 
@@ -91,7 +105,7 @@ TenantRoute ResolveTenant(GatewayShared& shared, http::Request& request) {
 
 std::string RenderResponse(const http::Response& response, bool keep_alive) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    webapp::ReasonPhrase(response.status) + "\r\n";
+                    ReasonPhrase(response.status) + "\r\n";
   out += "Content-Type: text/html\r\n";
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "X-Virtual-Time-Ms: " + std::to_string(response.virtual_time_ms) +

@@ -695,5 +695,57 @@ TEST_F(GatewayChaosTest, DegradedGatewayNeverFailsOpen) {
   pool.Shutdown();
 }
 
+TEST_F(GatewayChaosTest, SlowAnalysisStallsOnlyItsOwnRequest) {
+  // One request whose query needs a 500 ms PTI call, and cached requests
+  // on another connection of the same shard: the cached ones must not wait
+  // behind the slow one.
+  auto proto = attack::MakeTestbed();
+  core::JozaConfig cfg;
+  cfg.structure_cache = false;  // the slow text cannot ride a cached shape
+  core::Joza joza = core::Joza::Install(*proto, cfg);
+  joza.SetPtiBackend([](std::string_view query, const std::vector<sql::Token>&,
+                        util::Deadline) -> StatusOr<pti::PtiResult> {
+    if (query.find("4242") != std::string_view::npos) {
+      std::this_thread::sleep_for(500ms);
+    }
+    return pti::PtiResult{};  // this traffic is benign
+  });
+
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 2;
+  gcfg.event_shards = 1;
+  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza,
+                                gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  // Warm the query cache through the connection that will probe.
+  gateway::KeepAliveClient probe(port.value());
+  for (int i = 1; i <= 16; ++i) {
+    auto r = probe.Get("/post?id=" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->status, 200);
+  }
+
+  std::thread slow([&] {
+    gateway::KeepAliveClient client(port.value());
+    auto r = client.Get("/post?id=4242");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  });
+  std::this_thread::sleep_for(50ms);
+  for (int i = 1; i <= 16; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto r = probe.Get("/post?id=" + std::to_string(i));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 200);
+    EXPECT_LT(elapsed, 100ms)
+        << "cached request " << i << " waited behind the slow analysis";
+  }
+  slow.join();
+  EXPECT_GE(joza.stats().query_cache_hits, 16u);
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace joza

@@ -1,7 +1,7 @@
 // Concurrency suite for the protection gateway: a shared Joza engine, the
-// PTI daemon pool, and the thread-pool HTTP server hammered from many
-// threads with mixed benign/attack traffic. Runs under ThreadSanitizer in
-// CI — every assertion here is also a data-race probe.
+// PTI daemon pool, and the gateway's shards and handler pool hammered from
+// many threads with mixed benign/attack traffic. Runs under ThreadSanitizer
+// in CI — every assertion here is also a data-race probe.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -21,7 +21,6 @@
 #include "gateway/client.h"
 #include "gateway/gateway.h"
 #include "ipc/daemon_pool.h"
-#include "webapp/http_server.h"
 
 namespace joza {
 namespace {
@@ -669,7 +668,8 @@ TEST(GatewayServer, BoundedQueueRejectsOverloadWith503) {
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kBurst; ++t) {
     clients.emplace_back([&] {
-      auto r = webapp::HttpGet(port.value(), "/slow");
+      gateway::KeepAliveClient client(port.value());
+      auto r = client.Get("/slow");
       if (!r.ok()) return;
       if (r->status == 200) served.fetch_add(1);
       if (r->status == 503) rejected.fetch_add(1);
@@ -701,22 +701,6 @@ TEST(GatewayServer, GracefulStopDrainsAndIsIdempotent) {
   EXPECT_EQ(server.stats().requests_served, 2u);
 }
 
-TEST(GatewayServer, StatsExposeRulesetVersionAndSwaps) {
-  auto proto = attack::MakeTestbed();
-  core::Joza joza = core::Joza::Install(*proto);
-  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza);
-  auto port = server.Start();
-  ASSERT_TRUE(port.ok()) << port.status().ToString();
-  EXPECT_EQ(server.stats().ruleset_version, 0u);
-  EXPECT_EQ(server.stats().ruleset_swaps, 0u);
-
-  joza.OnSourcesChanged({{"live_update.php", "$q = 'SELECT 1';"}});
-  const gateway::GatewayStats stats = server.stats();
-  EXPECT_EQ(stats.ruleset_version, 1u);
-  EXPECT_EQ(stats.ruleset_swaps, 1u);
-  server.Stop();
-}
-
 TEST(GatewayServer, MalformedRequestGets400) {
   gateway::GatewayConfig gcfg;
   gcfg.workers = 1;
@@ -731,14 +715,56 @@ TEST(GatewayServer, MalformedRequestGets400) {
   server.Stop();
 }
 
-// Both serving backends must survive the same traffic with the same
-// observable semantics, regardless of which one JOZA_GATEWAY_IO_MODEL
-// selects for the env-driven tests above — so each is pinned explicitly
-// here and the pair is asserted to agree.
-void DriveAndCheckPinnedModel(gateway::GatewayConfig::IoModel model) {
+TEST(GatewayServer, ProxyConnectionHeaderKeepsTheConnectionAlive) {
+  // Only a header named exactly Connection decides keep-alive; a
+  // Proxy-Connection header (or any other name ending in it) does not.
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 1;
+  gateway::GatewayServer server([] { return webapp::MakeWordpressLikeApp(7); },
+                                nullptr, gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+  gateway::KeepAliveClient client(port.value());
+  for (int i = 0; i < 2; ++i) {
+    auto raw = client.RoundTrip(
+        "GET /post?id=1 HTTP/1.1\r\nHost: x\r\n"
+        "Proxy-Connection: close\r\n\r\n");
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    EXPECT_NE(raw->find("Connection: keep-alive"), std::string::npos)
+        << *raw;
+  }
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  server.Stop();
+}
+
+TEST(GatewayServer, OneApplicationPerHandler) {
+  // Applications belong to the handlers, not the shards: three handlers
+  // behind one shard build exactly three.
+  std::atomic<int> built{0};
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 3;
+  gcfg.event_shards = 1;
+  gateway::GatewayServer server(
+      [&built] {
+        built.fetch_add(1);
+        return webapp::MakeWordpressLikeApp(7);
+      },
+      nullptr, gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  gateway::KeepAliveClient client(port.value());
+  auto r = client.Get("/post?id=1");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->status, 200);
+  server.Stop();
+  EXPECT_EQ(server.shard_count(), 1u);
+  EXPECT_EQ(built.load(), 3);
+}
+
+TEST(GatewayServer, ShardCountersSumToRequestsServed) {
   gateway::GatewayConfig gcfg;
   gcfg.workers = 2;
-  gcfg.io_model = model;
   gateway::GatewayServer server([] { return webapp::MakeWordpressLikeApp(7); },
                                 nullptr, gcfg);
   auto port = server.Start();
@@ -754,23 +780,13 @@ void DriveAndCheckPinnedModel(gateway::GatewayConfig::IoModel model) {
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_EQ(stats.keepalive_reuses, 9u);
   server.Stop();
-  const bool epoll = model == gateway::GatewayConfig::IoModel::kEpoll;
-  EXPECT_EQ(server.shard_count() > 0, epoll);
-  if (epoll) {
-    std::size_t shard_requests = 0;
-    for (const auto& shard : server.shard_stats()) {
-      shard_requests += shard.requests;
-    }
-    EXPECT_EQ(shard_requests, 10u);
+  // event_shards = 0 means one shard per worker.
+  EXPECT_EQ(server.shard_count(), 2u);
+  std::size_t shard_requests = 0;
+  for (const auto& shard : server.shard_stats()) {
+    shard_requests += shard.requests;
   }
-}
-
-TEST(GatewayServer, ThreadModelPinnedExplicitly) {
-  DriveAndCheckPinnedModel(gateway::GatewayConfig::IoModel::kThreads);
-}
-
-TEST(GatewayServer, EpollModelPinnedExplicitly) {
-  DriveAndCheckPinnedModel(gateway::GatewayConfig::IoModel::kEpoll);
+  EXPECT_EQ(shard_requests, 10u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Multi-tenant fleet suite: tenant id hygiene, gateway routing edges on
-// both io models, tiered hot/cold residency (verdict identity across
-// demote/promote, the budget ledger, fail-closed on a corrupt cold store),
-// and the snapshot migration shim. The demotion-vs-pinned-Check race test
-// runs under ThreadSanitizer in CI.
+// Multi-tenant fleet suite: tenant id hygiene, gateway routing edges under
+// both unknown-tenant policies, tiered hot/cold residency (verdict identity
+// across demote/promote, the budget ledger, fail-closed on a corrupt cold
+// store), and the snapshot migration shim. The demotion-vs-pinned-Check
+// race test runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -367,11 +367,10 @@ TEST(Fleet, CorruptColdImageAnswers503OverTheWire) {
 }
 
 // ---------------------------------------------------------------------------
-// Gateway routing edges, pinned to each io model
+// Gateway routing edges under each unknown-tenant policy
 // ---------------------------------------------------------------------------
 
-void CheckRoutingEdges(gateway::GatewayConfig::IoModel model,
-                       gateway::GatewayConfig::UnknownTenant policy) {
+void CheckRoutingEdges(gateway::GatewayConfig::UnknownTenant policy) {
   ScratchDir dir;
   ASSERT_FALSE(dir.path.empty());
   tenant::Fleet fleet(ColdCapableOptions(dir));
@@ -380,7 +379,6 @@ void CheckRoutingEdges(gateway::GatewayConfig::IoModel model,
 
   gateway::GatewayConfig gcfg;
   gcfg.workers = 2;
-  gcfg.io_model = model;
   gcfg.unknown_tenant = policy;
   gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &fleet,
                                 gcfg);
@@ -460,24 +458,12 @@ void CheckRoutingEdges(gateway::GatewayConfig::IoModel model,
   ASSERT_EQ(::access((dir.path + "/evil.ruleset").c_str(), F_OK), -1);
 }
 
-TEST(TenantRouting, ThreadModelDefaultPolicy) {
-  CheckRoutingEdges(gateway::GatewayConfig::IoModel::kThreads,
-                    gateway::GatewayConfig::UnknownTenant::kDefaultTenant);
-}
-
-TEST(TenantRouting, ThreadModelNotFoundPolicy) {
-  CheckRoutingEdges(gateway::GatewayConfig::IoModel::kThreads,
-                    gateway::GatewayConfig::UnknownTenant::kNotFound);
-}
-
 TEST(TenantRouting, EpollModelDefaultPolicy) {
-  CheckRoutingEdges(gateway::GatewayConfig::IoModel::kEpoll,
-                    gateway::GatewayConfig::UnknownTenant::kDefaultTenant);
+  CheckRoutingEdges(gateway::GatewayConfig::UnknownTenant::kDefaultTenant);
 }
 
 TEST(TenantRouting, EpollModelNotFoundPolicy) {
-  CheckRoutingEdges(gateway::GatewayConfig::IoModel::kEpoll,
-                    gateway::GatewayConfig::UnknownTenant::kNotFound);
+  CheckRoutingEdges(gateway::GatewayConfig::UnknownTenant::kNotFound);
 }
 
 TEST(TenantRouting, MissingDefaultTenantIs404) {
