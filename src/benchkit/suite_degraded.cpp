@@ -116,12 +116,12 @@ std::unique_ptr<ipc::DaemonPool> FreshPool(const webapp::Application& proto) {
 }
 
 // Concurrent flood for the overload phase: more clients than workers, so
-// the connection queue backs up and the admission layer (deadline shedding
-// + AIMD throttling) has real doomed work to refuse.
+// the handler queue backs up and the deadline shed has real doomed work to
+// refuse.
 struct OverloadResult {
   std::size_t requests = 0;
   std::size_t served = 0;
-  std::size_t refused = 0;    // 503 (queue overflow / deadline shed) + 429
+  std::size_t refused = 0;    // 503 (queue overflow / deadline shed)
   std::size_t transport_failures = 0;
   std::size_t fail_open = 0;
   double seconds = 0;
@@ -152,7 +152,7 @@ OverloadResult DriveOverload(int port, std::size_t clients,
           ++local.transport_failures;
           continue;
         }
-        if (response->status == 503 || response->status == 429) {
+        if (response->status == 503) {
           ++local.refused;
         } else {
           ++local.served;
@@ -296,7 +296,7 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
   // -------------------------------------------------------------------------
   // Overload phase: concurrent flood against slow-PTI service. 10% hangs
   // keep each request slow WITHOUT tripping the breaker (failures are not
-  // consecutive), so the queue backs up and the admission layer must shed.
+  // consecutive), so the queue backs up and the deadline shed must fire.
   // The invariant under test: refusing doomed work is CHEAP — a shed
   // request costs microseconds of server time, not a worker's deadline.
   // -------------------------------------------------------------------------
@@ -313,8 +313,6 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
   const gateway::GatewayStats after_overload = server.stats();
   const std::size_t shed_deadline =
       after_overload.shed_by_deadline - before_overload.shed_by_deadline;
-  const std::size_t throttled =
-      after_overload.throttled_by_limiter - before_overload.throttled_by_limiter;
   const std::size_t queue_rejects = after_overload.connections_rejected -
                                     before_overload.connections_rejected;
   const double shed_p99_ms =
@@ -326,11 +324,9 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
       "%zu transport failures in %.1fs\n",
       flood_clients, flood_per_client, overload.served, overload.refused,
       overload.transport_failures, overload.seconds);
-  std::printf(
-      "admission:   %zu shed by deadline, %zu throttled (429), "
-      "%zu queue rejects; shed p99 %.3f ms; AIMD limit %llu\n",
-      shed_deadline, throttled, queue_rejects, shed_p99_ms,
-      static_cast<unsigned long long>(after_overload.admission_limit));
+  std::printf("shedding:    %zu shed by deadline, %zu queue rejects; "
+              "shed p99 %.3f ms\n",
+              shed_deadline, queue_rejects, shed_p99_ms);
 
   const ipc::DaemonPool::PoolStats overload_ps = overload_pool->stats();
   total_fail_open += overload.fail_open;
@@ -345,16 +341,9 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
                  "count");
   result.AddInfo("overload.shed_by_deadline",
                  static_cast<double>(shed_deadline), "count");
-  result.AddInfo("overload.throttled_429", static_cast<double>(throttled),
-                 "count");
   result.AddInfo("overload.queue_rejects_503",
                  static_cast<double>(queue_rejects), "count");
-  result.AddInfo("overload.admission_limit",
-                 static_cast<double>(after_overload.admission_limit), "count");
-  result.AddInfo("overload.service_estimate_us",
-                 static_cast<double>(after_overload.service_estimate_us),
-                 "us");
-  // Resilience counters riding the same export: supervisor + hedge + retry
+  // Resilience counters riding the same export: supervisor and retry
   // accounting of the overload pool.
   for (const auto& [name, value] : overload_ps.supervisor.Counters()) {
     result.AddInfo(std::string("overload.") + name,
@@ -362,20 +351,12 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
   }
   result.AddInfo("overload.retries_denied",
                  static_cast<double>(overload_ps.retries_denied), "count");
-  result.AddInfo("overload.hedges_launched",
-                 static_cast<double>(overload_ps.hedges_launched), "count");
-  result.AddInfo("overload.hedges_won",
-                 static_cast<double>(overload_ps.hedges_won), "count");
 
-  // Gates: overload must actually engage the admission layer, refusals must
-  // be fast (server-side p99 of the shed path under 5 ms — the whole point
-  // of shedding is that doomed work costs nothing), and the flood must not
-  // break the zero-fail-open invariant (counted into safety.fail_open).
-  result.AddExact("overload.sheds",
-                  static_cast<double>(shed_deadline + throttled +
-                                      queue_rejects) > 0
-                      ? 1
-                      : 0);
+  // Gates: overload must actually shed, refusals must be fast (server-side
+  // p99 of the shed path under 5 ms — the whole point of shedding is that
+  // doomed work costs nothing), and the flood must not break the
+  // zero-fail-open invariant (counted into safety.fail_open).
+  result.AddExact("overload.sheds", shed_deadline + queue_rejects > 0 ? 1 : 0);
   result.RequireEq("overload engages admission control", "overload.sheds", 1);
   result.AddInfo("overload.shed_p99_ms", shed_p99_ms, "ms");
   result.RequireLe("shed requests are fast (p99 under 5 ms)",

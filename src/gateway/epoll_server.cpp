@@ -9,13 +9,13 @@
 // bounds, and writes responses; it never calls into an Application.
 //
 // Hand-off: a framed request goes to the handler pool's queue. A handler
-// runs admission, tenant routing and the app on its private Application,
-// renders the response, and returns the bytes to the request's shard
-// through the shard's eventfd. A connection has at most one request at the
-// handlers and its shard leaves the socket unread meanwhile, so pipelined
-// requests wait on their connection and responses leave in request order.
-// A blocked PTI call therefore holds one handler and one connection, never
-// a shard.
+// runs the deadline shed, tenant routing and the app on its private
+// Application, renders the response, and returns the bytes to the
+// request's shard through the shard's eventfd. A connection has at most one
+// request at the handlers and its shard leaves the socket unread meanwhile,
+// so pipelined requests wait on their connection and responses leave in
+// request order. A blocked PTI call therefore holds one handler and one
+// connection, never a shard.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -48,6 +48,10 @@ constexpr int kMaxEvents = 256;
 // Bound on the drain-time flush wait for peers slow to absorb their last
 // response; after this the remaining connections are severed.
 constexpr std::chrono::milliseconds kDrainFlushBudget{250};
+
+// The EMFILE parachute: a spare descriptor released to accept-and-close a
+// connection the full fd table would otherwise leave in the backlog.
+int OpenReserveFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
 
 http::Response SimpleResponse(int status, const char* body) {
   http::Response r;
@@ -96,7 +100,7 @@ class HandlerPool {
 
  private:
   void Run();
-  // Parses, routes, admits and serves one request; renders its response.
+  // Sheds, parses, routes and serves one request; renders its response.
   Completion Serve(webapp::Application& app, const Job& job);
 
   const GatewayConfig& config() const { return shared_.config; }
@@ -260,30 +264,26 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
   done.fd = job.fd;
   done.gen = job.gen;
 
-  // Deadline-aware shed: if the request's wait for a handler plus the
-  // typical service time already blow the budget, its client has (or is
-  // about to have) timed out — a fast 503 frees the handler for work that
-  // can still make its deadline.
-  if (config().shed_by_deadline && config().request_deadline.count() > 0 &&
+  // Deadline shed: a request that waited its whole budget for a handler
+  // has a client that has (or is about to have) timed out — a fast 503
+  // frees the handler for work that can still make its deadline. The rule
+  // reads only this request's own wait, so one slow request never sheds
+  // the ones after it.
+  const auto picked = Clock::now();
+  if (config().request_deadline.count() > 0 &&
+      picked - job.enqueued >= config().request_deadline &&
       !shared_.stopping.load(std::memory_order_relaxed)) {
-    const auto waited = Clock::now() - job.enqueued;
-    const auto estimate = shared_.service_ewma.estimate();
-    if (waited + estimate > config().request_deadline) {
-      // Not counted as served.
-      const auto shed_start = Clock::now();
-      shared_.shed_by_deadline.fetch_add(1, std::memory_order_relaxed);
-      done.bytes =
-          RenderResponse(SimpleResponse(503, "shed: deadline"), false);
-      shared_.shed_latency.Record(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              Clock::now() - shed_start));
-      return done;
-    }
+    // Not counted as served.
+    shared_.shed_by_deadline.fetch_add(1, std::memory_order_relaxed);
+    done.bytes = RenderResponse(SimpleResponse(503, "shed: deadline"), false);
+    shared_.shed_latency.Record(
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              picked));
+    return done;
   }
 
-  // Tenant routing (fleet-backed servers): resolve before admission so a
-  // 404/503 refusal never consumes an AIMD slot, and pin the tenant's
-  // engine for the whole handling below — one Acquire per request.
+  // Tenant routing (fleet-backed servers): pin the tenant's engine for the
+  // whole handling below — one Acquire per request.
   StatusOr<http::Request> parsed = http::ParseRawRequest(job.raw);
   TenantRoute route;
   StatusOr<tenant::Fleet::EnginePin> pin = Status::NotFound("no fleet");
@@ -309,12 +309,6 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
     shared_.tenant_unavailable.fetch_add(1, std::memory_order_relaxed);
     response.status = 503;
     response.body = "Tenant Unavailable";
-  } else if (!shared_.aimd.TryAcquire()) {
-    // At the adaptive concurrency limit: refuse immediately rather than
-    // stacking more work onto a backend already blowing deadlines.
-    shared_.throttled_by_limiter.fetch_add(1, std::memory_order_relaxed);
-    response.status = 429;
-    response.body = "Too Many Requests";
   } else {
     keep_alive = WantsKeepAlive(job.raw);
     // Per-request budget, visible to the Joza engine (and through it the
@@ -323,27 +317,16 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
     if (config().request_deadline.count() > 0) {
       request_deadline = util::Deadline::After(config().request_deadline);
     }
-    const auto handle_start = Clock::now();
-    {
-      util::ScopedRequestDeadline scope(request_deadline);
-      if (shared_.fleet != nullptr) {
-        // The pin keeps the tenant's engine alive across a concurrent
-        // demotion; the gate is swapped out again before the pin drops.
-        app.SetQueryGate(pin.value()->MakeGate());
-        response = app.Handle(parsed.value());
-        app.SetQueryGate(nullptr);
-      } else {
-        response = app.Handle(parsed.value());
-      }
+    util::ScopedRequestDeadline scope(request_deadline);
+    if (shared_.fleet != nullptr) {
+      // The pin keeps the tenant's engine alive across a concurrent
+      // demotion; the gate is swapped out again before the pin drops.
+      app.SetQueryGate(pin.value()->MakeGate());
+      response = app.Handle(parsed.value());
+      app.SetQueryGate(nullptr);
+    } else {
+      response = app.Handle(parsed.value());
     }
-    const auto elapsed = Clock::now() - handle_start;
-    // A completion that consumed the whole budget is the AIMD overload
-    // signal; on-time completions grow the limit back.
-    const bool overloaded = config().request_deadline.count() > 0 &&
-                            elapsed >= config().request_deadline;
-    shared_.service_ewma.Record(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed));
-    shared_.aimd.Release(overloaded);
   }
   // During drain, finish this request but do not start another.
   if (shared_.stopping.load(std::memory_order_relaxed)) keep_alive = false;
@@ -414,7 +397,7 @@ Status Shard::Open(int port_hint, int* bound_port) {
     return Status::Unavailable(std::string("eventfd(): ") +
                                std::strerror(errno));
   }
-  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  reserve_fd_ = OpenReserveFd();
 
   epoll_event ev{};
   ev.events = EPOLLIN;  // level-triggered for listener and wakeup
@@ -526,21 +509,30 @@ bool Shard::Flush(int fd, Conn& conn) {
 }
 
 void Shard::AcceptBurst() {
+  // A reserve lost in an earlier burst (its open failed, or another thread
+  // took the freed slot) is replaced as soon as a descriptor is free.
+  if (reserve_fd_ < 0) reserve_fd_ = OpenReserveFd();
   for (;;) {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (errno == EMFILE || errno == ENFILE) {
-        // Reserve-fd parachute: momentarily release our spare descriptor
-        // so the pending connection can be accepted and immediately
-        // closed — the client gets a clean refusal instead of the listen
-        // backlog wedging forever.
+        // Momentarily release the reserve so the pending connection can be
+        // accepted and immediately closed — the client gets a clean
+        // refusal instead of the listen backlog wedging forever.
         if (reserve_fd_ >= 0) ::close(reserve_fd_);
-        int doomed = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-        if (doomed >= 0) ::close(doomed);
-        reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-        shared_.accept_overflows.fetch_add(1, std::memory_order_relaxed);
+        const int doomed =
+            ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+        if (doomed >= 0) {
+          ::close(doomed);
+          shared_.accept_overflows.fetch_add(1, std::memory_order_relaxed);
+        }
+        reserve_fd_ = OpenReserveFd();
+        // A full table fails accept4 even with nothing pending, so
+        // retrying at once could spin forever: end the burst and let this
+        // loop's timers and completions run and free descriptors.
+        if (doomed < 0 || reserve_fd_ < 0) break;
         continue;
       }
       break;  // EAGAIN (burst drained) or listener closed
@@ -583,12 +575,6 @@ bool Shard::ReadAvailable(int fd, Conn& conn) {
     return true;
   }
   conn.unread = false;
-  auto& injector = resilience::FaultInjector::Global();
-  if (injector.ShouldFire(resilience::FaultPoint::kSlowClient)) {
-    // Stall the shard before it reads, as if the client dribbled the
-    // request in slowly — saturating the loop without touching sockets.
-    std::this_thread::sleep_for(injector.hang());
-  }
   char chunk[16384];
   for (;;) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);

@@ -64,10 +64,7 @@ std::vector<std::pair<const char*, std::uint64_t>> GatewayStats::Counters()
       {"request_timeouts", request_timeouts},
       {"oversized_requests", oversized_requests},
       {"shed_by_deadline", shed_by_deadline},
-      {"throttled_by_limiter", throttled_by_limiter},
       {"accept_overflows", accept_overflows},
-      {"admission_limit", admission_limit},
-      {"service_estimate_us", service_estimate_us},
       {"shed_p99_us", shed_p99_us},
       {"tenant_routed", tenant_routed},
       {"tenant_404s", tenant_404s},
@@ -89,12 +86,7 @@ GatewayStats GatewayServer::stats() const {
   out.oversized_requests =
       s.oversized_requests.load(std::memory_order_relaxed);
   out.shed_by_deadline = s.shed_by_deadline.load(std::memory_order_relaxed);
-  out.throttled_by_limiter =
-      s.throttled_by_limiter.load(std::memory_order_relaxed);
   out.accept_overflows = s.accept_overflows.load(std::memory_order_relaxed);
-  out.admission_limit = static_cast<std::uint64_t>(s.aimd.limit());
-  out.service_estimate_us =
-      static_cast<std::uint64_t>(s.service_ewma.estimate().count());
   out.shed_p99_us = static_cast<std::uint64_t>(
       s.shed_latency
           .Quantile(0.99, std::chrono::microseconds(0), /*min_samples=*/1)

@@ -10,9 +10,9 @@
 //     idle connection costs a table entry and a timer, not a thread.
 //   * A pool of `workers` handler threads does the work. Every framed
 //     request is handed to it; each handler owns a private
-//     webapp::Application, runs admission, tenant routing and the app, and
-//     renders the response, which its shard then writes. A slow analysis
-//     therefore delays only its own request, never a shard.
+//     webapp::Application, runs the deadline shed, tenant routing and the
+//     app, and renders the response, which its shard then writes. A slow
+//     analysis therefore delays only its own request, never a shard.
 //
 // All handlers share ONE core::Joza engine — its sharded caches and atomic
 // stats make Check() safe and cheap under concurrency, and shared caches
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/joza.h"
-#include "resilience/admission.h"
 #include "util/status.h"
 #include "webapp/application.h"
 
@@ -61,17 +60,10 @@ struct GatewayConfig {
   std::size_t max_request_bytes = 1u << 20;
   // Per-request processing budget threaded to the Joza engine as the
   // ambient deadline (bounds the PTI daemon round trip; a miss degrades
-  // the verdict fail-closed instead of pinning the handler). 0 disables.
+  // the verdict fail-closed instead of pinning the handler). A request
+  // that already waited this long for a handler is answered 503 at once:
+  // its client has given up. 0 disables both.
   std::chrono::milliseconds request_deadline{2000};
-  // Adaptive admission: AIMD bound on concurrent request handling. Beyond
-  // the limit handlers answer 429 immediately instead of piling onto a
-  // saturated backend; deadline overruns shrink the limit.
-  resilience::AimdOptions admission;
-  // Deadline-aware shedding: a request picked up after its wait plus the
-  // EWMA service estimate already exceed request_deadline is answered 503
-  // immediately — a fast refusal beats burning a handler on work whose
-  // client has timed out. Needs request_deadline > 0.
-  bool shed_by_deadline = true;
 
   // Event-loop shards. 0 means `workers`.
   std::size_t event_shards = 0;
@@ -99,11 +91,8 @@ struct GatewayStats {
   std::size_t bad_requests = 0;
   std::size_t request_timeouts = 0;      // slowloris guard fired (408)
   std::size_t oversized_requests = 0;    // size cap fired (413)
-  std::size_t shed_by_deadline = 0;      // dequeued too late to matter (503)
-  std::size_t throttled_by_limiter = 0;  // AIMD concurrency refusals (429)
+  std::size_t shed_by_deadline = 0;      // waited out its deadline (503)
   std::size_t accept_overflows = 0;      // EMFILE/ENFILE accepts shed
-  std::uint64_t admission_limit = 0;     // current AIMD concurrency limit
-  std::uint64_t service_estimate_us = 0; // EWMA request service time
   std::uint64_t shed_p99_us = 0;         // p99 of shed-path handling time
   // Tenant routing (fleet-backed servers; 0 otherwise): requests resolved
   // to a fleet tenant, unknown-tenant refusals (404), and fail-closed

@@ -2,9 +2,9 @@
 // the handler pool.
 //
 // Everything behaviorally observable lives in GatewayShared — config,
-// admission control, EWMA/shed tracking, and every stats counter — so the
-// facade's stats() reads one place. EpollServer owns the I/O machinery
-// (shard threads, epoll fds, connection tables) and the handler threads.
+// shed-latency tracking, and every stats counter — so the facade's stats()
+// reads one place. EpollServer owns the I/O machinery (shard threads, epoll
+// fds, connection tables) and the handler threads.
 #pragma once
 
 #include <atomic>
@@ -16,18 +16,14 @@
 #include <vector>
 
 #include "gateway/gateway.h"
-#include "resilience/admission.h"
-#include "resilience/hedge.h"
+#include "resilience/retry.h"
 #include "tenant/fleet.h"
 
 namespace joza::gateway::internal {
 
 struct GatewayShared {
   GatewayShared(AppFactory f, core::Joza* j, const GatewayConfig& c)
-      : factory(std::move(f)),
-        joza(j),
-        config(c),
-        aimd(c.admission) {}
+      : factory(std::move(f)), joza(j), config(c) {}
 
   AppFactory factory;
   core::Joza* joza = nullptr;
@@ -37,8 +33,6 @@ struct GatewayShared {
   tenant::Fleet* fleet = nullptr;
   GatewayConfig config;
 
-  resilience::AimdLimiter aimd;
-  resilience::ServiceTimeEwma service_ewma;
   resilience::LatencyTracker shed_latency;  // shed-path handling times
   std::atomic<bool> stopping{false};
 
@@ -50,7 +44,6 @@ struct GatewayShared {
   std::atomic<std::size_t> request_timeouts{0};
   std::atomic<std::size_t> oversized_requests{0};
   std::atomic<std::size_t> shed_by_deadline{0};
-  std::atomic<std::size_t> throttled_by_limiter{0};
   // EMFILE/ENFILE accepts shed via the reserve-fd parachute.
   std::atomic<std::size_t> accept_overflows{0};
   // Tenant routing roll-ups (fleet-backed servers only).

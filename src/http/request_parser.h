@@ -54,8 +54,6 @@ class RequestParser {
     return !overflowed_ && !buffer_.empty() && !has_complete();
   }
 
-  std::size_t buffered_bytes() const { return buffer_.size(); }
-
  private:
   // Locates the front request's end (header terminator + declared body).
   void Scan();

@@ -1,11 +1,7 @@
 #include "ipc/daemon_pool.h"
 
 #include <algorithm>
-#include <optional>
-#include <thread>
 #include <utility>
-
-#include "resilience/injector.h"
 
 namespace joza::ipc {
 
@@ -145,9 +141,7 @@ void DaemonPool::Discard(Entry entry) {
 }
 
 StatusOr<PtiVerdictWire> DaemonPool::AttemptOnce(std::string_view query,
-                                                 util::Deadline deadline,
-                                                 bool hedged) {
-  const auto start = std::chrono::steady_clock::now();
+                                                 util::Deadline deadline) {
   auto entry = Checkout(deadline);
   if (!entry.ok()) {
     if (entry.status().code() == StatusCode::kDeadlineExceeded) {
@@ -156,17 +150,8 @@ StatusOr<PtiVerdictWire> DaemonPool::AttemptOnce(std::string_view query,
     }
     return entry.status();
   }
-  if (hedged && resilience::FaultInjector::Global().ShouldFire(
-                    resilience::FaultPoint::kHedgeLoss)) {
-    // The secondary loses its race without touching the daemon: the entry
-    // goes straight back so the injected loss costs no capacity.
-    Return(std::move(entry).value());
-    return Status::Unavailable("injected hedge-race loss");
-  }
   auto wire = entry->client->Analyze(query, deadline);
   if (wire.ok()) {
-    latency_.Record(std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - start));
     retry_budget_.RecordSuccess();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -186,8 +171,14 @@ StatusOr<PtiVerdictWire> DaemonPool::AttemptOnce(std::string_view query,
   return wire.status();
 }
 
-StatusOr<PtiVerdictWire> DaemonPool::AnalyzeSequential(std::string_view query,
-                                                       util::Deadline deadline) {
+StatusOr<PtiVerdictWire> DaemonPool::Analyze(std::string_view query,
+                                             util::Deadline deadline) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return Status::Unavailable("daemon pool is shut down");
+    ++in_flight_;
+  }
+  InFlight flight(this);
   Status last = Status::Unavailable("PTI daemon unreachable after retry");
   for (int attempt = 0; attempt < 2; ++attempt) {
     // Retries spend from the budget; when it is drained (an outage — every
@@ -204,7 +195,7 @@ StatusOr<PtiVerdictWire> DaemonPool::AnalyzeSequential(std::string_view query,
       last = Status::DeadlineExceeded("PTI deadline budget exhausted");
       break;
     }
-    auto wire = AttemptOnce(query, attempt_deadline, /*hedged=*/false);
+    auto wire = AttemptOnce(query, attempt_deadline);
     if (wire.ok()) return wire;
     last = wire.status();
     // A quarantined shard fails every attempt by design — do not burn the
@@ -214,137 +205,11 @@ StatusOr<PtiVerdictWire> DaemonPool::AnalyzeSequential(std::string_view query,
       break;
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.failures;
-  return last;
-}
-
-StatusOr<PtiVerdictWire> DaemonPool::AnalyzeHedged(std::string_view query,
-                                                   util::Deadline deadline) {
-  struct Race {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::optional<StatusOr<PtiVerdictWire>> primary;
-    std::optional<StatusOr<PtiVerdictWire>> hedge;
-    bool hedge_launched = false;
-  };
-  auto race = std::make_shared<Race>();
-  const std::string q(query);  // the detached attempt threads outlive us
-
-  auto bounded = [this](util::Deadline d) {
-    if (options_.per_call_timeout.count() > 0) {
-      return util::Deadline::EarlierOf(
-          d, util::Deadline::After(options_.per_call_timeout));
-    }
-    return d;
-  };
-
-  // The primary runs in a helper thread so this thread can arm the hedge
-  // while it is still in flight. Each attempt thread carries its own
-  // in-flight mark (taken before launch), so Shutdown waits for it even
-  // after this call returns with the other attempt's result.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return Status::Unavailable("daemon pool is shut down");
-    ++in_flight_;
-  }
-  const util::Deadline primary_deadline = bounded(deadline);
-  std::thread([this, race, q, primary_deadline] {
-    InFlight flight(this);
-    auto result = AttemptOnce(q, primary_deadline, /*hedged=*/false);
-    {
-      std::lock_guard<std::mutex> lock(race->mu);
-      race->primary.emplace(std::move(result));
-    }
-    race->cv.notify_all();
-  }).detach();
-
-  // Wait out the hedge delay; a primary still in flight after it is a
-  // straggler worth racing — if the budget allows.
-  std::unique_lock<std::mutex> rlock(race->mu);
-  const bool straggling = !race->cv.wait_for(
-      rlock, HedgeDelay(), [&] { return race->primary.has_value(); });
-  if (straggling) {
-    rlock.unlock();
-    bool launch = retry_budget_.TrySpend();
-    if (launch) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) {
-        launch = false;
-      } else {
-        ++in_flight_;
-        ++stats_.hedges_launched;
-      }
-    }
-    if (launch) {
-      {
-        std::lock_guard<std::mutex> hl(race->mu);
-        race->hedge_launched = true;
-      }
-      const util::Deadline hedge_deadline = bounded(deadline);
-      std::thread([this, race, q, hedge_deadline] {
-        InFlight flight(this);
-        auto result = AttemptOnce(q, hedge_deadline, /*hedged=*/true);
-        {
-          std::lock_guard<std::mutex> lock(race->mu);
-          race->hedge.emplace(std::move(result));
-        }
-        race->cv.notify_all();
-      }).detach();
-    }
-    rlock.lock();
-  }
-
-  // First success wins; otherwise wait for every launched attempt (their
-  // bounded deadlines guarantee this terminates).
-  race->cv.wait(rlock, [&] {
-    if (race->primary && race->primary->ok()) return true;
-    if (race->hedge && race->hedge->ok()) return true;
-    return race->primary.has_value() &&
-           (!race->hedge_launched || race->hedge.has_value());
-  });
-  const bool primary_ok = race->primary && race->primary->ok();
-  const bool hedge_ok = race->hedge && race->hedge->ok();
-  if (primary_ok) return *race->primary;
-  if (hedge_ok) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.hedges_won;
-    }
-    return *race->hedge;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.failures;
   }
-  return race->primary ? race->primary->status()
-                       : Status::Unavailable("hedged analyze failed");
-}
-
-std::chrono::milliseconds DaemonPool::HedgeDelay() const {
-  if (!options_.hedge_from_p99) return options_.hedge_delay;
-  std::chrono::milliseconds fallback = options_.hedge_delay;
-  if (fallback.count() <= 0) {
-    fallback = options_.per_call_timeout.count() > 0
-                   ? options_.per_call_timeout / 2
-                   : std::chrono::milliseconds(100);
-  }
-  const auto p99 = latency_.Quantile(
-      0.99, std::chrono::duration_cast<std::chrono::microseconds>(fallback));
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(p99);
-  return std::max(ms, std::chrono::milliseconds(1));
-}
-
-StatusOr<PtiVerdictWire> DaemonPool::Analyze(std::string_view query,
-                                             util::Deadline deadline) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return Status::Unavailable("daemon pool is shut down");
-    ++in_flight_;
-  }
-  InFlight flight(this);
-  if (hedging_enabled()) return AnalyzeHedged(query, deadline);
-  return AnalyzeSequential(query, deadline);
+  return last;
 }
 
 Status DaemonPool::Ping(util::Deadline deadline) {
@@ -437,9 +302,8 @@ void DaemonPool::Shutdown() {
     // Checked-out daemons drain through Return/Discard (which decrement
     // live_ under shutdown_) and the calls themselves drain through the
     // InFlight guards; their bounded deadlines guarantee progress. Waiting
-    // for both means no racing thread (including detached hedge attempts)
-    // can still touch pool state after Shutdown returns, so destruction is
-    // safe.
+    // for both means no racing thread can still touch pool state after
+    // Shutdown returns, so destruction is safe.
     cv_.wait(lock, [&] { return live_ == 0 && in_flight_ == 0; });
   }
   victims.clear();

@@ -15,13 +15,9 @@
 //     consecutive spawn failures, a restart-budget token bucket, and flap
 //     detection that quarantines a crash-looping shard (Analyze fails fast
 //     into the engine's degraded mode instead of fork-storming).
-//   * Retries and hedges spend from a RetryBudget that only successes
+//   * The one retry spends from a RetryBudget that only successes
 //     replenish, so an outage degrades to single attempts instead of
 //     doubling load on a dying backend.
-//   * Optionally, Analyze hedges: once the primary attempt has been in
-//     flight longer than the hedge delay (fixed, or derived from the p99
-//     of recent successes), a second attempt races it on another daemon
-//     and the first success wins.
 //
 // If every attempt fails the pool reports an error Status and the engine's
 // degraded-mode policy decides (fail closed by default — an unreachable
@@ -32,8 +28,8 @@
 //
 // Thread safety: every method may be called from any number of threads,
 // including Shutdown/destruction racing in-flight Analyze calls: Shutdown
-// waits for in-flight calls (and any hedge attempts still racing) to
-// drain, and calls that arrive after it began get Unavailable.
+// waits for in-flight calls to drain, and calls that arrive after it began
+// get Unavailable.
 #pragma once
 
 #include <chrono>
@@ -49,7 +45,7 @@
 #include "ipc/framing.h"
 #include "phpsrc/fragments.h"
 #include "pti/pti.h"
-#include "resilience/hedge.h"
+#include "resilience/retry.h"
 #include "resilience/supervisor.h"
 #include "util/deadline.h"
 #include "util/status.h"
@@ -70,16 +66,8 @@ class DaemonPool {
 
     // Respawn policy (restart budget, backoff, flap quarantine).
     resilience::SupervisorOptions supervisor;
-    // Retry/hedge amplification guard.
+    // Retry amplification guard.
     resilience::RetryBudgetOptions retry_budget;
-
-    // Hedging: 0 disables. A positive delay launches a racing second
-    // attempt once the primary has been in flight that long.
-    std::chrono::milliseconds hedge_delay{0};
-    // Derive the hedge delay from the p99 of recent successful round
-    // trips instead (hedge_delay then serves as the fallback until enough
-    // samples accumulate; if it is 0 the fallback is per_call_timeout/2).
-    bool hedge_from_p99 = false;
 
     // Ruleset version the seed fragment set corresponds to. A warm start
     // from a snapshot passes the recovered version here so every daemon,
@@ -99,9 +87,7 @@ class DaemonPool {
     // Daemons whose handshake or update Ack reported a ruleset version
     // other than the pool's target — stale replicas, discarded on sight.
     std::size_t version_mismatches = 0;
-    std::size_t hedges_launched = 0;  // racing second attempts started
-    std::size_t hedges_won = 0;       // races the hedge attempt won
-    std::size_t retries_denied = 0;   // retries/hedges the budget refused
+    std::size_t retries_denied = 0;   // retries the budget refused
     // The pool's current target ruleset version
     // (base_version + fragment texts added).
     std::uint64_t target_version = 0;
@@ -122,8 +108,8 @@ class DaemonPool {
   // Round-trips one query through any pooled daemon. Spawns up to max_size
   // daemons on demand (supervisor permitting); blocks when all are checked
   // out (bounded by the deadline). Each attempt is additionally bounded by
-  // per_call_timeout. With hedging enabled, a straggling primary attempt
-  // races a budgeted second attempt and the first success wins.
+  // per_call_timeout; a failed attempt is retried once, budget permitting,
+  // on what remains of the deadline.
   StatusOr<PtiVerdictWire> Analyze(std::string_view query,
                                    util::Deadline deadline = util::Deadline());
 
@@ -195,24 +181,14 @@ class DaemonPool {
   void Discard(Entry entry);
 
   // One complete attempt: checkout + round trip + return/discard, with
-  // supervisor/latency accounting. `hedged` marks the racing secondary.
+  // supervisor and retry-budget accounting.
   StatusOr<PtiVerdictWire> AttemptOnce(std::string_view query,
-                                       util::Deadline deadline, bool hedged);
-  // Sequential attempt-with-retry (hedging disabled or not armed).
-  StatusOr<PtiVerdictWire> AnalyzeSequential(std::string_view query,
-                                             util::Deadline deadline);
-  // Primary in a helper thread, budgeted hedge after HedgeDelay().
-  StatusOr<PtiVerdictWire> AnalyzeHedged(std::string_view query,
-                                         util::Deadline deadline);
-  bool hedging_enabled() const {
-    return options_.hedge_delay.count() > 0 || options_.hedge_from_p99;
-  }
-  std::chrono::milliseconds HedgeDelay() const;
+                                       util::Deadline deadline);
 
   // RAII in-flight marker: constructed after the shutdown check admits the
   // call, destroyed as the call's very last touch of pool state. Shutdown
   // waits for in_flight_ == 0, so the pool cannot be destroyed under a
-  // racing call's (or hedge thread's) feet.
+  // racing call's feet.
   struct InFlight {
     DaemonPool* pool;
     explicit InFlight(DaemonPool* p) : pool(p) {}
@@ -231,13 +207,12 @@ class DaemonPool {
 
   resilience::DaemonSupervisor supervisor_;
   resilience::RetryBudget retry_budget_;
-  resilience::LatencyTracker latency_;  // successful round-trip durations
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Entry> idle_;      // LIFO: the hottest daemon goes out first
   std::size_t live_ = 0;
-  std::size_t in_flight_ = 0;    // Analyze/Ping/hedge work between entry/exit
+  std::size_t in_flight_ = 0;    // Analyze/Ping calls between entry/exit
   bool shutdown_ = false;
   std::vector<std::string> added_texts_;  // broadcast log for late joiners
   PoolStats stats_;

@@ -85,9 +85,4 @@ void TokenBucket::Deposit(double amount) {
   tokens_ = std::min(options_.capacity, tokens_ + amount);
 }
 
-double TokenBucket::available(Clock::time_point now) {
-  Refill(now);
-  return tokens_;
-}
-
 }  // namespace joza::resilience

@@ -73,8 +73,6 @@ class TokenBucket {
   // back a fraction of a retry). Clamped to capacity.
   void Deposit(double amount);
 
-  double available(Clock::time_point now);
-
  private:
   void Refill(Clock::time_point now);
 

@@ -8,9 +8,8 @@ namespace joza::resilience {
 namespace {
 
 constexpr const char* kNames[] = {
-    "daemon-hang", "daemon-kill", "frame-corrupt",
-    "short-write", "accept-fail", "slow-client",
-    "spawn-fail",  "snapshot-io", "hedge-loss",
+    "daemon-hang", "daemon-kill", "frame-corrupt", "short-write",
+    "accept-fail", "spawn-fail",  "snapshot-io",
 };
 static_assert(sizeof(kNames) / sizeof(kNames[0]) ==
               static_cast<std::size_t>(FaultPoint::kCount));

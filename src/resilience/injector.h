@@ -31,10 +31,8 @@ enum class FaultPoint : unsigned {
   kFrameCorrupt,     // IPC frame header is corrupted on the wire
   kShortWrite,       // IPC frame write silently truncates (stalled peer)
   kAcceptFail,       // gateway drops an accepted connection immediately
-  kSlowClient,       // gateway worker stalls before reading a request
   kSpawnFail,        // daemon fork/handshake fails before going live
   kSnapshotIo,       // snapshot write/fsync/rename fails mid-persist
-  kHedgeLoss,        // hedged secondary attempt loses its race (errors out)
   kCount,
 };
 
@@ -61,7 +59,7 @@ class FaultInjector {
   std::size_t evaluations(FaultPoint point) const;
   void ResetCounters();
 
-  // Stall length used by the hang/slow points.
+  // Stall length used by the daemon-hang point.
   void set_hang(std::chrono::milliseconds hang) {
     hang_ms_.store(static_cast<std::int64_t>(hang.count()),
                    std::memory_order_relaxed);

@@ -1,11 +1,14 @@
 // Chaos suite for the fault-tolerant analysis pipeline: fault injector
 // determinism, circuit-breaker transitions, IPC deadlines, hung-daemon
 // kill-and-replace, the pool shutdown race, degraded-mode policy, and the
-// gateway's hostile-client guards. Runs under ThreadSanitizer in CI.
+// gateway's hostile-client, deadline-shed and fd-exhaustion guards. Runs
+// under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -113,8 +116,8 @@ TEST_F(FaultInjectorTest, ArmFromSpecGrammar) {
   EXPECT_TRUE(injector.armed(resilience::FaultPoint::kDaemonHang));
   EXPECT_DOUBLE_EQ(injector.rate(resilience::FaultPoint::kDaemonHang), 0.1);
   // Bare name arms at 1.0.
-  EXPECT_TRUE(resilience::ArmFromSpec(injector, "slow-client").ok());
-  EXPECT_DOUBLE_EQ(injector.rate(resilience::FaultPoint::kSlowClient), 1.0);
+  EXPECT_TRUE(resilience::ArmFromSpec(injector, "accept-fail").ok());
+  EXPECT_DOUBLE_EQ(injector.rate(resilience::FaultPoint::kAcceptFail), 1.0);
   EXPECT_FALSE(resilience::ArmFromSpec(injector, "no-such-point:0.5").ok());
   EXPECT_FALSE(resilience::ArmFromSpec(injector, "daemon-hang:bogus").ok());
   EXPECT_FALSE(resilience::ArmFromSpec(injector, "daemon-hang:1.5").ok());
@@ -516,14 +519,18 @@ TEST(DegradedMode, DeadlineMissDegradesInsteadOfPinning) {
 // Gateway hostile-client guards
 // ---------------------------------------------------------------------------
 
-int ConnectTo(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
+int ConnectSocket(int fd, int port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+}
+
+int ConnectTo(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (ConnectSocket(fd, port) != 0) {
     ::close(fd);
     return -1;
   }
@@ -543,6 +550,18 @@ std::string RecvUntilClose(int fd, std::chrono::milliseconds cap) {
     out.append(chunk, static_cast<std::size_t>(n));
   }
   return out;
+}
+
+// A PTI backend that spends `delay` on any query naming id 4242 and finds
+// every query benign (the traffic these tests send is).
+core::PtiFn SlowOn4242(std::chrono::milliseconds delay) {
+  return [delay](std::string_view query, const std::vector<sql::Token>&,
+                 util::Deadline) -> StatusOr<pti::PtiResult> {
+    if (query.find("4242") != std::string_view::npos) {
+      std::this_thread::sleep_for(delay);
+    }
+    return pti::PtiResult{};
+  };
 }
 
 class GatewayChaosTest : public ChaosTest {
@@ -703,13 +722,7 @@ TEST_F(GatewayChaosTest, SlowAnalysisStallsOnlyItsOwnRequest) {
   core::JozaConfig cfg;
   cfg.structure_cache = false;  // the slow text cannot ride a cached shape
   core::Joza joza = core::Joza::Install(*proto, cfg);
-  joza.SetPtiBackend([](std::string_view query, const std::vector<sql::Token>&,
-                        util::Deadline) -> StatusOr<pti::PtiResult> {
-    if (query.find("4242") != std::string_view::npos) {
-      std::this_thread::sleep_for(500ms);
-    }
-    return pti::PtiResult{};  // this traffic is benign
-  });
+  joza.SetPtiBackend(SlowOn4242(500ms));
 
   gateway::GatewayConfig gcfg;
   gcfg.workers = 2;
@@ -744,6 +757,150 @@ TEST_F(GatewayChaosTest, SlowAnalysisStallsOnlyItsOwnRequest) {
   }
   slow.join();
   EXPECT_GE(joza.stats().query_cache_hits, 16u);
+  server.Stop();
+}
+
+TEST_F(GatewayChaosTest, OneDeadlineLongRequestDoesNotShedTheNext) {
+  // One request whose analysis outlasts request_deadline must not make the
+  // gateway shed the fast requests after it: the shed reads each request's
+  // own queue wait, never what an earlier request cost.
+  auto proto = attack::MakeTestbed();
+  core::Joza joza = core::Joza::Install(*proto, core::JozaConfig{});
+  joza.SetPtiBackend(SlowOn4242(300ms));
+
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 1;
+  gcfg.request_deadline = 250ms;
+  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza,
+                                gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  gateway::KeepAliveClient client(port.value());
+  for (const int id : {4242, 1, 2, 3, 4, 5}) {
+    auto r = client.Get("/post?id=" + std::to_string(id));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 200) << "/post?id=" << id << " got: " << r->body;
+  }
+  EXPECT_EQ(client.reconnects(), 0u) << "every request shares one connection";
+  EXPECT_EQ(server.stats().shed_by_deadline, 0u);
+  server.Stop();
+}
+
+TEST_F(GatewayChaosTest, RequestThatWaitedOutItsDeadlineIsShed) {
+  // The one handler is busy for 300 ms; a request queued behind it waits
+  // past the 100 ms deadline and is shed. The next request finds the
+  // handler free and is served.
+  auto proto = attack::MakeTestbed();
+  core::Joza joza = core::Joza::Install(*proto, core::JozaConfig{});
+  joza.SetPtiBackend(SlowOn4242(300ms));
+
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 1;  // and one shard
+  gcfg.request_deadline = 100ms;
+  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza,
+                                gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  std::thread slow([&] {
+    gateway::KeepAliveClient client(port.value());
+    auto r = client.Get("/post?id=4242");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->status, 200);
+  });
+  // The second request goes out once the first has reached the handler.
+  for (int i = 0; i < 1000 && server.shard_stats()[0].requests == 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  gateway::KeepAliveClient queued(port.value());
+  auto shed = queued.Get("/post?id=1");
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->status, 503);
+  EXPECT_EQ(shed->body, "shed: deadline");
+  slow.join();
+
+  gateway::KeepAliveClient next(port.value());
+  auto served = next.Get("/post?id=2");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->status, 200);
+  EXPECT_EQ(server.stats().shed_by_deadline, 1u);
+  server.Stop();
+}
+
+// Lowers the soft RLIMIT_NOFILE for its lifetime. The fd table is
+// process-wide, so the old limit comes back on every exit path.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    rlimit tight = saved_;
+    tight.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &tight) == 0;
+  }
+  ~ScopedFdLimit() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+TEST_F(GatewayChaosTest, FullFdTableStillClosesIdleConnections) {
+  // With the fd table full and no usable reserve descriptor, every accept
+  // of a pending connect fails. The shard must still run its timers: an
+  // idle keep-alive connection accepted before the table filled is closed
+  // at keepalive_timeout, which is how a full table drains.
+  //
+  // Everything the server opens lands at or above the lowest free
+  // descriptor, so a soft limit of that number fills the table for every
+  // later allocation, and releasing the shard's reserve frees no slot
+  // under the limit.
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+
+  gateway::GatewayConfig cfg;
+  cfg.workers = 1;
+  cfg.event_shards = 1;
+  cfg.keepalive_timeout = 300ms;
+  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, nullptr,
+                                cfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok());
+
+  // One served request makes sure the shard has accepted the connection
+  // and armed its idle timer before the table fills.
+  int idle = ConnectTo(port.value());
+  ASSERT_GE(idle, 0);
+  const std::string request =
+      "GET /post?id=7 HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  ASSERT_TRUE(gateway::SendAll(idle, request).ok());
+  char first[64];
+  ASSERT_GT(::recv(idle, first, sizeof first, 0), 0);
+  // Connecting needs no new descriptor on this side, only the socket.
+  int pending = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(pending, 0);
+
+  std::chrono::steady_clock::duration took{};
+  {
+    ScopedFdLimit full(static_cast<rlim_t>(lowest_free));
+    ASSERT_TRUE(full.ok());
+    ASSERT_EQ(ConnectSocket(pending, port.value()), 0);
+    const auto start = std::chrono::steady_clock::now();
+    RecvUntilClose(idle, 3000ms);  // the rest of the response, then EOF
+    took = std::chrono::steady_clock::now() - start;
+  }
+  EXPECT_LT(took, 2s) << "the shard never ran its idle timer";
+  EXPECT_EQ(server.stats().accept_overflows, 0u)
+      << "no connection was accepted and closed";
+  ::close(pending);
+  ::close(idle);
   server.Stop();
 }
 

@@ -1,5 +1,5 @@
 // Self-healing serving tier: supervisor lifecycle policy, respawn pacing,
-// retry/hedge budgets, crash-durable ruleset snapshots, and the chaos
+// retry budgets, crash-durable ruleset snapshots, and the chaos
 // crash-storm behaviour of the supervised daemon pool. The concurrency
 // property tests (half-open probe bound, crash storm) run under
 // ThreadSanitizer in CI.
@@ -21,8 +21,8 @@
 #include "phpsrc/fragments.h"
 #include "resilience/backoff.h"
 #include "resilience/circuit_breaker.h"
-#include "resilience/hedge.h"
 #include "resilience/injector.h"
+#include "resilience/retry.h"
 #include "resilience/snapshot.h"
 #include "resilience/supervisor.h"
 #include "util/status.h"
@@ -172,6 +172,29 @@ TEST_F(RetryBudgetTest, ZeroCapacityDisablesTheGuard) {
   EXPECT_FALSE(budget.enabled());
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(budget.TrySpend());
   EXPECT_EQ(budget.denied(), 0u);
+}
+
+TEST_F(RetryBudgetTest, DrainedBudgetLeavesThePoolOneAttempt) {
+  // Every analyze crashes its daemon. A budget that never holds a whole
+  // token denies every retry, so each call costs exactly one daemon.
+  auto& injector = resilience::FaultInjector::Global();
+  injector.Arm(resilience::FaultPoint::kDaemonKill, 1.0);
+
+  ipc::DaemonPool::Options options;
+  options.max_size = 1;
+  options.supervisor.restart_budget = 0;  // respawn at once, no backoff
+  options.retry_budget.capacity = 0.5;
+  options.retry_budget.earn_per_success = 0;
+  ipc::DaemonPool pool(OneFragment(), options);
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(pool.Analyze("SELECT 1", util::Deadline::After(3000ms)).ok());
+  }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.retries_denied, 3u);
+  EXPECT_EQ(stats.replaced, 3u) << "one crashed daemon per call, no retry";
+  EXPECT_EQ(stats.failures, 3u);
+  pool.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -587,83 +610,6 @@ TEST_F(ChaosStormTest, PartialSpawnStormKeepsServingWithZeroFailOpen) {
   }
   EXPECT_GE(served, 15u) << "a 30% spawn-fail storm must not stop serving";
   EXPECT_FALSE(pool.quarantined());
-  pool.Shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Hedged analyze
-// ---------------------------------------------------------------------------
-
-using HedgeTest = ResilienceTest;
-
-TEST_F(HedgeTest, HedgeRacesAStragglingPrimaryAndWins) {
-  auto& injector = resilience::FaultInjector::Global();
-  injector.set_hang(400ms);
-  // Every other round trip hangs; the hedge (launched after 20ms) lands on
-  // a healthy daemon and wins those races.
-  injector.Arm(resilience::FaultPoint::kDaemonHang, 0.5);
-
-  ipc::DaemonPool::Options options;
-  options.max_size = 3;
-  options.per_call_timeout = 2000ms;
-  options.hedge_delay = 20ms;
-  ipc::DaemonPool pool(OneFragment(), options);
-
-  std::size_t ok = 0;
-  for (int i = 0; i < 10; ++i) {
-    auto verdict = pool.Analyze("SELECT 1", util::Deadline::After(3000ms));
-    if (verdict.ok()) ++ok;
-  }
-  const auto stats = pool.stats();
-  EXPECT_EQ(ok, 10u) << "hedging must mask the stalls";
-  EXPECT_GT(stats.hedges_launched, 0u);
-  EXPECT_GT(stats.hedges_won, 0u) << "stalled primaries lose to the hedge";
-  pool.Shutdown();
-}
-
-TEST_F(HedgeTest, InjectedHedgeLossStillLetsThePrimaryWin) {
-  auto& injector = resilience::FaultInjector::Global();
-  injector.Arm(resilience::FaultPoint::kHedgeLoss, 1.0);
-  injector.set_hang(50ms);
-  injector.Arm(resilience::FaultPoint::kDaemonHang, 0.5);
-
-  ipc::DaemonPool::Options options;
-  options.max_size = 2;
-  options.per_call_timeout = 2000ms;
-  options.hedge_delay = 10ms;
-  ipc::DaemonPool pool(OneFragment(), options);
-
-  std::size_t ok = 0;
-  for (int i = 0; i < 8; ++i) {
-    auto verdict = pool.Analyze("SELECT 1", util::Deadline::After(3000ms));
-    if (verdict.ok()) ++ok;
-  }
-  EXPECT_EQ(ok, 8u) << "a lost hedge race must never fail the request";
-  EXPECT_EQ(pool.stats().hedges_won, 0u) << "injected losses cannot win";
-  pool.Shutdown();
-}
-
-TEST_F(HedgeTest, ExhaustedRetryBudgetSuppressesHedging) {
-  auto& injector = resilience::FaultInjector::Global();
-  injector.set_hang(30ms);
-  injector.Arm(resilience::FaultPoint::kDaemonHang, 1.0);  // slow primaries
-
-  ipc::DaemonPool::Options options;
-  options.max_size = 2;
-  options.per_call_timeout = 2000ms;
-  options.hedge_delay = 1ms;  // would hedge nearly every request...
-  options.retry_budget.capacity = 0.5;  // ...but the budget denies all
-  options.retry_budget.earn_per_success = 0;
-  ipc::DaemonPool pool(OneFragment(), options);
-
-  for (int i = 0; i < 6; ++i) {
-    auto verdict = pool.Analyze("SELECT 1", util::Deadline::After(3000ms));
-    EXPECT_TRUE(verdict.ok()) << verdict.status().ToString();
-  }
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.hedges_launched, 0u)
-      << "a drained budget must degrade to single attempts";
-  EXPECT_GT(stats.retries_denied, 0u);
   pool.Shutdown();
 }
 

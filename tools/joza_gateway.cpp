@@ -5,8 +5,8 @@
 //                [--pti inproc|pool] [--pool-size N] [--duration SECONDS]
 //                [--deadline-ms N] [--degraded fail-closed|nti-only]
 //                [--breaker-threshold N] [--fault point[:rate]]...
-//                [--hedge-ms N] [--hedge-p99] [--restart-budget N]
-//                [--snapshot-path FILE] [--source-updates N]
+//                [--restart-budget N] [--snapshot-path FILE]
+//                [--source-updates N]
 //                [--tenants FILE] [--memory-budget-mb N] [--cold-dir DIR]
 //                [--unknown-tenant default|404]
 //
@@ -22,23 +22,21 @@
 // with a private copy of the testbed application.
 //
 // Fault tolerance knobs: --deadline-ms bounds each request's processing
-// budget (0 disables), --degraded picks what happens while the PTI backend
-// is down (blocked via error virtualization, or NTI-only verdicts),
-// --breaker-threshold sets the circuit breaker's consecutive-failure trip
-// point (0 disables the breaker), and each --fault arms a fault-injection
-// point (daemon-hang, daemon-kill, frame-corrupt, short-write, accept-fail,
-// slow-client, spawn-fail, snapshot-io, hedge-loss) at the given rate in
-// [0,1] (bare name = always fire).
+// budget, and a request that waited that long for a handler is shed with
+// 503 (0 disables both), --degraded picks what happens while the PTI
+// backend is down (blocked via error virtualization, or NTI-only
+// verdicts), --breaker-threshold sets the circuit breaker's
+// consecutive-failure trip point (0 disables the breaker), and each
+// --fault arms a fault-injection point (daemon-hang, daemon-kill,
+// frame-corrupt, short-write, accept-fail, spawn-fail, snapshot-io) at the
+// given rate in [0,1] (bare name = always fire).
 //
-// Resilience knobs: --hedge-ms races a second daemon attempt once the
-// primary has been in flight that long (0 disables; --hedge-p99 derives
-// the delay from the p99 of recent round trips instead), --restart-budget
-// caps the supervisor's respawn token bucket (0 disables supervision),
-// --snapshot-path persists every published ruleset generation to a
-// checksummed snapshot file and warm-starts from it after a crash, and
-// --source-updates applies N synthetic fragment updates at startup (each
-// advances the ruleset version and persists — the kill -9 recovery smoke
-// test's version source).
+// Resilience knobs: --restart-budget caps the supervisor's respawn token
+// bucket (0 disables supervision), --snapshot-path persists every
+// published ruleset generation to a checksummed snapshot file and
+// warm-starts from it after a crash, and --source-updates applies N
+// synthetic fragment updates at startup (each advances the ruleset version
+// and persists — the kill -9 recovery smoke test's version source).
 //
 // Multi-tenant knobs: --tenants names a spec file (one tenant id per line,
 // '#' comments) and switches the server to a tenant::Fleet of per-tenant
@@ -94,8 +92,8 @@ int UsageError(const char* argv0) {
       "          [--pti inproc|pool] [--pool-size N] [--duration SECONDS]\n"
       "          [--deadline-ms N] [--degraded fail-closed|nti-only]\n"
       "          [--breaker-threshold N] [--fault point[:rate]]...\n"
-      "          [--hedge-ms N] [--hedge-p99] [--restart-budget N]\n"
-      "          [--snapshot-path FILE] [--source-updates N]\n"
+      "          [--restart-budget N] [--snapshot-path FILE]\n"
+      "          [--source-updates N]\n"
       "          [--tenants FILE] [--memory-budget-mb N] [--cold-dir DIR]\n"
       "          [--unknown-tenant default|404]\n",
       argv0);
@@ -130,8 +128,6 @@ int main(int argc, char** argv) {
   bool use_pool = false;
   long duration_s = 0;
   long deadline_ms = 2000;
-  long hedge_ms = 0;
-  bool hedge_p99 = false;
   double restart_budget = 16;
   std::string snapshot_path;
   long source_updates = 0;
@@ -175,10 +171,6 @@ int main(int argc, char** argv) {
       duration_s = std::atol(value);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && (value = next())) {
       deadline_ms = std::atol(value);
-    } else if (std::strcmp(argv[i], "--hedge-ms") == 0 && (value = next())) {
-      hedge_ms = std::atol(value);
-    } else if (std::strcmp(argv[i], "--hedge-p99") == 0) {
-      hedge_p99 = true;
     } else if (std::strcmp(argv[i], "--restart-budget") == 0 &&
                (value = next())) {
       restart_budget = std::atof(value);
@@ -278,8 +270,6 @@ int main(int argc, char** argv) {
     ipc::DaemonPool::Options options;
     options.max_size = pool_size;
     options.supervisor.restart_budget = restart_budget;
-    options.hedge_delay = std::chrono::milliseconds(hedge_ms);
-    options.hedge_from_p99 = hedge_p99;
     options.base_version = recovered_version;
     pool = std::make_unique<ipc::DaemonPool>(seed, options);
     joza.SetPtiBackend(pool->AsPtiBackend());
@@ -305,8 +295,6 @@ int main(int argc, char** argv) {
     fopts.use_daemon_pool = use_pool;
     fopts.pool.max_size = pool_size;
     fopts.pool.supervisor.restart_budget = restart_budget;
-    fopts.pool.hedge_delay = std::chrono::milliseconds(hedge_ms);
-    fopts.pool.hedge_from_p99 = hedge_p99;
     fopts.snapshot_base = snapshot_path;
     fleet = std::make_unique<tenant::Fleet>(fopts);
     if (Status st = fleet->AddTenant(tenant::kDefaultTenant, seed);
@@ -348,11 +336,11 @@ int main(int argc, char** argv) {
   std::printf(
       "joza_gateway on 127.0.0.1:%d  (%zu workers, cache %zu, PTI %s,\n"
       "              deadline %ld ms, degraded %s, breaker threshold %zu,\n"
-      "              hedge %ld ms%s, restart budget %.0f)\n",
+      "              restart budget %.0f)\n",
       bound.value(), workers, cache_capacity,
       use_pool ? "daemon pool" : "in-process", deadline_ms,
-      core::DegradedModeName(degraded_mode), breaker_threshold, hedge_ms,
-      hedge_p99 ? " (p99-derived)" : "", restart_budget);
+      core::DegradedModeName(degraded_mode), breaker_threshold,
+      restart_budget);
   std::printf("serving:      %zu event shards, %zu handler threads\n",
               server->shard_count(), workers);
   if (fleet) {
@@ -432,10 +420,8 @@ int main(int argc, char** argv) {
               "%zu timeouts (408), %zu oversized (413)\n",
               gs.requests_served, gs.keepalive_reuses, gs.bad_requests,
               gs.request_timeouts, gs.oversized_requests);
-  std::printf("admission:   limit %llu, %zu throttled (429), "
-              "%zu shed by deadline (503), shed p99 %llu us\n",
-              static_cast<unsigned long long>(gs.admission_limit),
-              gs.throttled_by_limiter, gs.shed_by_deadline,
+  std::printf("shedding:    %zu shed by deadline (503), shed p99 %llu us\n",
+              gs.shed_by_deadline,
               static_cast<unsigned long long>(gs.shed_p99_us));
   std::printf("io:          %zu accept overflows\n", gs.accept_overflows);
   const std::vector<gateway::ShardStats> shards = server->shard_stats();
@@ -502,9 +488,9 @@ int main(int argc, char** argv) {
   if (pool) {
     const auto ps = pool->stats();
     std::printf("pti pool:    %zu analyzed, %zu spawned, %zu replaced, "
-                "%zu failures, %zu deadline misses\n",
+                "%zu failures, %zu deadline misses, %zu retries denied\n",
                 ps.analyzed, ps.spawned, ps.replaced, ps.failures,
-                ps.deadline_misses);
+                ps.deadline_misses, ps.retries_denied);
     std::printf("pti pool:    target version %llu, %zu version mismatches\n",
                 static_cast<unsigned long long>(ps.target_version),
                 ps.version_mismatches);
@@ -516,8 +502,6 @@ int main(int argc, char** argv) {
     std::printf("supervisor:  %zu quarantines, %zu probes, %zu recoveries\n",
                 ps.supervisor.quarantines, ps.supervisor.quarantine_probes,
                 ps.supervisor.recoveries);
-    std::printf("hedging:     %zu launched, %zu won, %zu retries denied\n",
-                ps.hedges_launched, ps.hedges_won, ps.retries_denied);
     pool->Shutdown();
   }
   return 0;
