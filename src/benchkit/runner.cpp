@@ -1,8 +1,6 @@
 #include "benchkit/runner.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "benchkit/compare.h"
 #include "benchkit/registry.h"
@@ -63,24 +61,6 @@ int RunSuiteAndReport(const std::string& suite_name,
                  spec->name.c_str());
   }
   return gates_ok && baseline_ok ? 0 : 1;
-}
-
-int LegacyGateMain(const std::string& suite_name, int argc, char** argv) {
-  RunnerOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.suite.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      options.suite.quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed N] [--quick]\n"
-                   "(legacy gate wrapper for `joza_bench --suite %s`)\n",
-                   argv[0], suite_name.c_str());
-      return 2;
-    }
-  }
-  return RunSuiteAndReport(suite_name, options);
 }
 
 }  // namespace joza::benchkit

@@ -1,6 +1,6 @@
-// Shared run-a-suite-and-report driver used by the joza_bench CLI and the
-// legacy gating bench wrappers: execute the suite, print its gates, emit
-// the BENCH_<suite>.json, and (optionally) diff against a baseline.
+// Runs a suite and reports on it, behind the joza_bench CLI: execute the
+// suite, print its gates, emit the BENCH_<suite>.json, and (optionally)
+// diff against a baseline.
 #pragma once
 
 #include <string>
@@ -20,17 +20,11 @@ struct RunnerOptions {
   bool check_baseline = false;
 };
 
-// Runs the named suite end to end. Exit-code contract (shared by every
-// gating bench): 0 = all gates passed and no baseline regression,
-// 1 = a gate failed or a compared metric regressed, 2 = unknown suite or
-// I/O failure. Every failure names the offending metric and threshold on
-// stdout/stderr before returning.
+// Runs the named suite end to end. Exit-code contract: 0 = all gates
+// passed and no baseline regression, 1 = a gate failed or a compared
+// metric regressed, 2 = unknown suite or I/O failure. Every failure names
+// the offending metric and threshold on stdout/stderr before returning.
 int RunSuiteAndReport(const std::string& suite_name,
                       const RunnerOptions& options);
-
-// The legacy wrapper entry: parses the small shared flag set
-// (--seed N, --quick) and runs the suite gates-only (no JSON, no
-// baseline). Keeps bench_<name> binaries' exit codes consistent.
-int LegacyGateMain(const std::string& suite_name, int argc, char** argv);
 
 }  // namespace joza::benchkit

@@ -1,6 +1,5 @@
 // churn: over-the-wire scaling of the concurrent gateway and the reader
-// cost of RCU ruleset-snapshot churn, migrated from the hand-rolled
-// bench_gateway_scale main().
+// cost of RCU ruleset-snapshot churn.
 //
 // Phases:
 //   1. Throughput scaling: the gateway at 1/2/4/8 workers (all

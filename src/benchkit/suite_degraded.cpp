@@ -1,6 +1,5 @@
 // degraded: QPS, tail latency and verdict safety of the protected gateway
-// under injected PTI faults, migrated from the hand-rolled
-// bench_fault_degraded main().
+// under injected PTI faults.
 //
 // Four phases, each driving the same engine over the wire with mixed
 // benign + exploit traffic while the PTI daemon pool runs under a

@@ -4,13 +4,13 @@
 // Phases:
 //   1. Verdict parity (gated): an identical seeded event sequence — Zipf
 //      tenant picks over mixed benign/attack traffic — is driven through a
-//      budgeted fleet (demote/promote churn through the mmap cold store)
-//      and an unbudgeted fleet (every tenant stays hot). Every per-event
-//      verdict must match: residency tiering may cost cache warmth, never
-//      a verdict. The residency ledger must also never exceed the budget
-//      (asserted via the fleet's own peak accounting), churn must actually
-//      have happened (cold loads + demotions observed), and no Acquire may
-//      fail (fail-closed refusals would surface here).
+//      budgeted fleet (demote/promote churn) and an unbudgeted fleet
+//      (every tenant stays hot). Every per-event verdict must match:
+//      residency tiering may cost cache warmth, never a verdict. The
+//      residency ledger must also never exceed the budget (asserted via the
+//      fleet's own peak accounting), churn must actually have happened
+//      (cold loads + demotions observed), and no Acquire may fail
+//      (fail-closed refusals would surface here).
 //   2. Cold-attack sweep (gated): over the wire, one exploit per tenant
 //      against a gateway whose every tenant starts cold. Each first-touch
 //      promotion must complete and block the attack — a tenant is never
@@ -19,16 +19,13 @@
 //      Zipf traffic through the budgeted gateway and the unbudgeted one.
 //      Budgeted p99 may pay for promotion stalls but must stay within a
 //      generous multiple of the unbudgeted tail; no transport failures, no
-//      routing 404s, no fail-closed 503s on healthy cold images.
-#include <unistd.h>
-
+//      routing 404s, no fail-closed 503s.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <string>
@@ -82,7 +79,7 @@ std::size_t SampleZipf(const std::vector<double>& cdf, std::mt19937_64& rng) {
 }
 
 // Per-tenant seed vocabularies: the shared testbed sources plus one marker
-// fragment so every tenant's ruleset (and cold image) is distinct.
+// fragment so every tenant's ruleset is distinct.
 std::vector<php::FragmentSet> MakeTenantSeeds() {
   auto app = attack::MakeTestbed();
   std::vector<php::FragmentSet> seeds;
@@ -105,34 +102,10 @@ core::JozaConfig EngineConfig() {
   return config;
 }
 
-// A scratch cold-store directory under TMPDIR; contents are removed in
-// RemoveColdDir once the fleet that owned it is gone.
-std::string MakeColdDir(const char* tag) {
-  const char* base = std::getenv("TMPDIR");
-  std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
-                     "/joza_mtbench_" + tag + "_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) return {};
-  return buf.data();
-}
-
-void RemoveColdDir(const std::string& dir) {
-  if (dir.empty()) return;
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    ::unlink((dir + "/" + TenantName(i) + ".ruleset").c_str());
-    ::unlink((dir + "/" + TenantName(i) + ".ruleset.tmp").c_str());
-  }
-  ::rmdir(dir.c_str());
-}
-
-tenant::FleetOptions MakeFleetOptions(std::uint64_t budget_bytes,
-                                      std::string cold_dir) {
+tenant::FleetOptions MakeFleetOptions(std::uint64_t budget_bytes) {
   tenant::FleetOptions opts;
   opts.engine = EngineConfig();
   opts.memory_budget_bytes = budget_bytes;
-  opts.cold_dir = std::move(cold_dir);
-  opts.max_concurrent_promotions = 2;
   return opts;
 }
 
@@ -183,12 +156,11 @@ struct InProcessRun {
 // single-threaded: determinism is the point, this is the parity reference
 // and its budgeted mirror.
 InProcessRun DriveInProcess(std::uint64_t budget_bytes,
-                            const std::string& cold_dir,
                             const std::vector<php::FragmentSet>& seeds,
                             const std::vector<std::size_t>& tenant_seq,
                             const std::vector<MixedEvent>& mixed) {
   InProcessRun out;
-  tenant::Fleet fleet(MakeFleetOptions(budget_bytes, cold_dir));
+  tenant::Fleet fleet(MakeFleetOptions(budget_bytes));
   if (!PopulateFleet(fleet, seeds).ok()) {
     out.setup_failed = true;
     return out;
@@ -296,12 +268,8 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
     for (std::size_t& t : tenant_seq) t = SampleZipf(cdf, rng);
   }
 
-  const std::string budgeted_dir = MakeColdDir("parity");
-  InProcessRun unbudgeted =
-      DriveInProcess(0, /*cold_dir=*/"", seeds, tenant_seq, mixed);
-  InProcessRun budgeted =
-      DriveInProcess(budget, budgeted_dir, seeds, tenant_seq, mixed);
-  RemoveColdDir(budgeted_dir);
+  InProcessRun unbudgeted = DriveInProcess(0, seeds, tenant_seq, mixed);
+  InProcessRun budgeted = DriveInProcess(budget, seeds, tenant_seq, mixed);
   if (unbudgeted.setup_failed || budgeted.setup_failed) {
     result.AddExact("setup.failed", 1);
     result.RequireEq("fleets construct", "setup.failed", 0);
@@ -375,8 +343,7 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
   // promotion path must rebuild the vocabulary and still block — serving
   // fail-open during a cold load would show up as a 200 here.
   {
-    const std::string dir = MakeColdDir("sweep");
-    tenant::Fleet fleet(MakeFleetOptions(budget, dir));
+    tenant::Fleet fleet(MakeFleetOptions(budget));
     std::size_t swept_blocked = 0;
     std::size_t transport_failures = 0;
     if (PopulateFleet(fleet, seeds).ok()) {
@@ -415,7 +382,6 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
       ++transport_failures;
     }
     const tenant::FleetStats fs = fleet.stats();
-    RemoveColdDir(dir);
     result.AddExact("sweep.blocked", static_cast<double>(swept_blocked));
     result.RequireEq("every cold-tenant first-touch attack is blocked",
                      "sweep.blocked", static_cast<double>(kTenants));
@@ -460,12 +426,9 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
   auto wire_pass = [&](std::uint64_t budget_bytes, const char* tag,
                        tenant::FleetStats* fleet_out,
                        gateway::GatewayStats* gw_out) -> RunResult {
-    const std::string dir =
-        budget_bytes > 0 ? MakeColdDir(tag) : std::string();
-    tenant::Fleet fleet(MakeFleetOptions(budget_bytes, dir));
+    tenant::Fleet fleet(MakeFleetOptions(budget_bytes));
     RunResult r;
     if (!PopulateFleet(fleet, seeds).ok()) {
-      RemoveColdDir(dir);
       r.failures = kClients * per_client;
       return r;
     }
@@ -476,7 +439,6 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
     auto port = server.Start();
     if (!port.ok()) {
       std::fprintf(stderr, "%s gateway start failed\n", tag);
-      RemoveColdDir(dir);
       r.failures = kClients * per_client;
       return r;
     }
@@ -503,7 +465,6 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
     if (gw_out != nullptr) *gw_out = server.stats();
     server.Stop();
     if (fleet_out != nullptr) *fleet_out = fleet.stats();
-    RemoveColdDir(dir);
     return r;
   };
 

@@ -1,5 +1,4 @@
-// smoke: the CI-gating suite, migrated from the hand-rolled
-// bench_ablation_match main().
+// smoke: the CI-gating suite.
 //
 // Phase 1 (PTI, informational): Aho-Corasick vs the paper's per-fragment
 // scan as the vocabulary grows.

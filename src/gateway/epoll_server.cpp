@@ -305,7 +305,7 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
     response.body = "Unknown Tenant";
   } else if (shared_.fleet != nullptr && !pin.ok()) {
     // Fail-closed: the tenant exists but its engine could not be pinned
-    // (cold image unreadable, budget refusal). Never serve unprotected.
+    // (the memory budget cannot admit it). Never serve unprotected.
     shared_.tenant_unavailable.fetch_add(1, std::memory_order_relaxed);
     response.status = 503;
     response.body = "Tenant Unavailable";

@@ -96,8 +96,8 @@ struct GatewayStats {
   std::uint64_t shed_p99_us = 0;         // p99 of shed-path handling time
   // Tenant routing (fleet-backed servers; 0 otherwise): requests resolved
   // to a fleet tenant, unknown-tenant refusals (404), and fail-closed
-  // refusals because the tenant's engine could not be pinned (503 — cold
-  // store unreadable or the memory budget could not admit it).
+  // refusals because the tenant's engine could not be pinned (503 — the
+  // memory budget could not admit it).
   std::size_t tenant_routed = 0;
   std::size_t tenant_404s = 0;
   std::size_t tenant_unavailable = 0;

@@ -31,7 +31,7 @@ namespace joza::pti {
 
 struct PtiConfig {
   // Scan the query once with the multi-pattern automaton; false runs the
-  // paper's original per-fragment scan (ablated in bench_ablation_match).
+  // paper's original per-fragment scan (ablated in the smoke suite).
   bool use_aho_corasick = true;
 
   // Paper optimization #2: parse the query for critical tokens first, then

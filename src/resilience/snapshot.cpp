@@ -186,18 +186,6 @@ std::string TenantSnapshotPath(const std::string& base,
   return path;
 }
 
-StatusOr<RulesetSnapshotData> LoadTenantRulesetSnapshot(
-    const std::string& base, std::string_view tenant) {
-  auto qualified = LoadRulesetSnapshot(TenantSnapshotPath(base, tenant));
-  if (qualified.ok() || tenant != kDefaultTenantName) return qualified;
-  if (qualified.status().code() != StatusCode::kNotFound) return qualified;
-  // Migration shim: a pre-multi-tenant deployment persisted the default
-  // tenant's snapshot at the un-suffixed base path. Only a missing
-  // qualified file falls through — a corrupt one stays an error
-  // (fail-closed; never mask it with stale legacy data).
-  return LoadRulesetSnapshot(base);
-}
-
 StatusOr<RulesetSnapshotData> LoadRulesetSnapshot(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {

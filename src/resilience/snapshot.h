@@ -57,13 +57,12 @@ std::string EncodeRulesetSnapshot(const php::FragmentSet& fragments,
 //
 // A multi-tenant deployment persists one snapshot per tenant; qualifying
 // the configured base path (rather than taking N paths) keeps the CLI
-// surface unchanged. The default tenant also owns any legacy un-suffixed
-// snapshot left behind by a pre-multi-tenant deployment: the loader falls
-// back to it (migration shim), so a fleet upgrade warm-starts from the old
-// single-engine snapshot instead of silently restarting at version 0.
+// surface unchanged. The single-engine gateway persists as the default
+// tenant, so both shapes read and write "<base>.<tenant>" and nothing else:
+// an un-suffixed "<base>" is never read.
 
 // Name of the implicit tenant every request without an explicit tenant id
-// routes to (and the owner of legacy snapshots).
+// routes to.
 inline constexpr char kDefaultTenantName[] = "default";
 
 // "<base>.<tenant>". The tenant id must already be validated by the caller
@@ -71,10 +70,5 @@ inline constexpr char kDefaultTenantName[] = "default";
 // path can never traverse out of the base path's directory).
 std::string TenantSnapshotPath(const std::string& base,
                                std::string_view tenant);
-
-// Loads the tenant-qualified snapshot; for the default tenant only, falls
-// back to the legacy un-suffixed `base` when no qualified file exists.
-StatusOr<RulesetSnapshotData> LoadTenantRulesetSnapshot(
-    const std::string& base, std::string_view tenant);
 
 }  // namespace joza::resilience

@@ -1,14 +1,11 @@
 #include "tenant/fleet.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
 
 #include "match/aho_corasick.h"
-#include "util/mmap_resource.h"
 
 namespace joza::tenant {
 
@@ -24,6 +21,13 @@ namespace {
 constexpr std::uint64_t kTenantBaseBytes = 64 * 1024;
 constexpr std::uint64_t kBytesPerCacheSlot = 32;
 
+// Per-tick decay of the EWMA access rate (the LRU half of the eviction
+// score; the rate-per-byte ratio is the knapsack half).
+constexpr double kEwmaDecay = 0.98;
+
+// Bound on concurrent cold→hot rebuilds (the stampede gate).
+constexpr std::size_t kMaxConcurrentPromotions = 2;
+
 }  // namespace
 
 bool ValidTenantId(std::string_view id) {
@@ -36,10 +40,10 @@ bool ValidTenantId(std::string_view id) {
   return true;
 }
 
-// One tenant's full residency state. Tier fields (hot/cold/seed/version)
-// are guarded by the fleet mutex except while `promoting` or `demoting` is
-// set, in which case the flag owner manipulates them with the lock
-// released and everyone else waits.
+// One tenant's full residency state. Tier fields (hot/fragments/version)
+// are guarded by the fleet mutex except while `promoting` is set, in which
+// case the promoter reads them with the lock released and everyone else
+// waits.
 struct Fleet::TenantEntry {
   std::string id;
 
@@ -47,19 +51,17 @@ struct Fleet::TenantEntry {
   // fleet's reference while in-flight pins keep the engine alive.
   std::shared_ptr<EngineHandle> hot;
 
-  // Cold tier: the mmap'd JZSNAP01 image (authoritative once a demotion
-  // has happened) or the seed vocabulary (before the first demotion).
-  util::MmapResource cold;
-  bool has_cold = false;
-  php::FragmentSet seed;
+  // Cold tier: the vocabulary and its ruleset version — the seed (or its
+  // warm-start snapshot) before the first promotion, the published
+  // ruleset after each demotion. Moved into the engine on promotion, so
+  // empty while hot.
+  php::FragmentSet fragments;
+  std::uint64_t version = 0;
 
-  std::uint64_t version = 0;        // ruleset version while cold
-  std::uint64_t bytes_estimate = 0; // next promotion's ledger charge
-  std::uint64_t charged_bytes = 0;  // current ledger charge (0 when cold)
+  std::uint64_t bytes_estimate = 0;  // next promotion's ledger charge
+  std::uint64_t charged_bytes = 0;   // current ledger charge (0 when cold)
 
-  bool resident = false;
   bool promoting = false;
-  bool demoting = false;
   bool pending_snapshot_load = false;  // warm start not yet counted
 
   // Access accounting for the eviction score.
@@ -74,28 +76,9 @@ struct Fleet::TenantEntry {
 
 Fleet::EngineHandle::~EngineHandle() = default;
 
-Fleet::Fleet(FleetOptions options) : options_(std::move(options)) {
-  if (options_.ewma_decay <= 0 || options_.ewma_decay > 1) {
-    options_.ewma_decay = 0.98;
-  }
-  if (options_.max_concurrent_promotions == 0) {
-    options_.max_concurrent_promotions = 1;
-  }
-  if (!options_.cold_dir.empty()) {
-    ::mkdir(options_.cold_dir.c_str(), 0755);  // EEXIST is fine
-    cold_dir_ready_ = true;
-  }
-}
+Fleet::Fleet(FleetOptions options) : options_(std::move(options)) {}
 
 Fleet::~Fleet() = default;
-
-std::string Fleet::ColdPath(std::string_view id) const {
-  std::string path = options_.cold_dir;
-  path += '/';
-  path.append(id);
-  path += ".ruleset";
-  return path;
-}
 
 std::uint64_t Fleet::EstimateHotBytes(const php::FragmentSet& fragments,
                                       const core::JozaConfig& config) {
@@ -119,10 +102,6 @@ Status Fleet::AddTenant(std::string_view id, php::FragmentSet seed) {
     return Status::InvalidArgument("invalid tenant id: \"" +
                                    std::string(id) + "\"");
   }
-  if (options_.memory_budget_bytes > 0 && options_.cold_dir.empty()) {
-    return Status::InvalidArgument(
-        "a memory budget requires a cold_dir to demote into");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   const std::string key(id);
   if (tenants_.count(key) > 0) {
@@ -130,21 +109,21 @@ Status Fleet::AddTenant(std::string_view id, php::FragmentSet seed) {
   }
   auto entry = std::make_unique<TenantEntry>();
   entry->id = key;
-  entry->seed = std::move(seed);
+  entry->fragments = std::move(seed);
   if (!options_.snapshot_base.empty()) {
-    auto recovered = resilience::LoadTenantRulesetSnapshot(
-        options_.snapshot_base, id);
+    auto recovered = resilience::LoadRulesetSnapshot(
+        resilience::TenantSnapshotPath(options_.snapshot_base, id));
     if (recovered.ok()) {
       // Continue the persisted version line instead of the seed's zero.
       // Any load anomaly (corrupt file, checksum mismatch) falls through
       // to a cold start from the seed — the established snapshot-recovery
       // semantic; it narrows the vocabulary, never widens it.
-      entry->seed = std::move(recovered.value().fragments);
+      entry->fragments = std::move(recovered.value().fragments);
       entry->version = recovered.value().version;
       entry->pending_snapshot_load = true;
     }
   }
-  entry->bytes_estimate = EstimateHotBytes(entry->seed, options_.engine);
+  entry->bytes_estimate = EstimateHotBytes(entry->fragments, options_.engine);
   tenants_.emplace(key, std::move(entry));
   return Status::Ok();
 }
@@ -164,21 +143,20 @@ std::vector<std::string> Fleet::TenantIds() const {
 }
 
 double Fleet::ScoreLocked(const TenantEntry& entry) const {
-  const double decayed =
-      entry.ewma * std::pow(options_.ewma_decay,
-                            static_cast<double>(tick_ - entry.last_touch));
+  const double idle_ticks = static_cast<double>(tick_ - entry.last_touch);
+  const double decayed = entry.ewma * std::pow(kEwmaDecay, idle_ticks);
   // Knapsack value density: decayed access rate per resident byte. The
   // cheapest-to-keep tenant has the lowest score and is demoted first.
   return decayed /
          static_cast<double>(std::max<std::uint64_t>(entry.charged_bytes, 1));
 }
 
-Fleet::TenantEntry* Fleet::PickVictimLocked(const TenantEntry* exclude) {
+Fleet::TenantEntry* Fleet::PickVictimLocked() {
   TenantEntry* victim = nullptr;
   double victim_score = 0;
   for (auto& [id, entry] : tenants_) {
     TenantEntry* e = entry.get();
-    if (e == exclude || !e->hot || e->promoting || e->demoting) continue;
+    if (!e->hot) continue;
     const double score = ScoreLocked(*e);
     if (victim == nullptr || score < victim_score) {
       victim = e;
@@ -188,112 +166,46 @@ Fleet::TenantEntry* Fleet::PickVictimLocked(const TenantEntry* exclude) {
   return victim;
 }
 
-Status Fleet::DemoteLocked(std::unique_lock<std::mutex>& lock,
-                           TenantEntry& entry) {
-  if (!entry.hot) return Status::Ok();
-  entry.demoting = true;
-  std::shared_ptr<EngineHandle> handle = entry.hot;  // alive across the I/O
-  lock.unlock();
-
-  // Serialize the tenant's published ruleset through the crash-durable
-  // codec. The engine stays fully serviceable during the write — racing
-  // checks hold their own pins — so nothing here is on any request's
-  // critical path except the promoter waiting for the freed bytes.
-  const std::shared_ptr<const core::RulesetSnapshot> snapshot =
-      handle->engine->ruleset();
-  const std::uint64_t version = snapshot->version;
-  const std::string image =
-      resilience::EncodeRulesetSnapshot(snapshot->pti->fragments(), version);
-  const std::string path = ColdPath(entry.id);
-  Status persisted = util::WriteFileDurable(path, image);
-  util::MmapResource mapped;
-  if (persisted.ok()) {
-    auto m = util::MmapResource::Map(path);
-    if (m.ok()) {
-      mapped = std::move(m).value();
-    } else {
-      persisted = m.status();
-    }
-  }
-  const core::JozaStats final_stats = handle->engine->stats();
-
-  lock.lock();
-  entry.demoting = false;
-  if (!persisted.ok()) {
-    // The cold store refused the image: keep the tenant hot (dropping the
-    // engine would lose the vocabulary — fail-closed means refusing the
-    // demotion, not the tenant's future requests).
-    cv_.notify_all();
-    return persisted;
-  }
-  entry.accum += final_stats;
-  entry.version = version;
-  entry.cold = std::move(mapped);
-  entry.has_cold = true;
-  entry.seed = php::FragmentSet();  // the cold image is authoritative now
-  entry.bytes_estimate =
-      EstimateHotBytes(snapshot->pti->fragments(), options_.engine);
+void Fleet::DemoteLocked(TenantEntry& entry) {
+  if (!entry.hot) return;
+  // A copy, not a move: pinned checks may still be running on this ruleset.
+  const std::shared_ptr<const core::RulesetSnapshot> ruleset =
+      entry.hot->engine->ruleset();
+  entry.fragments = ruleset->pti->fragments();
+  entry.version = ruleset->version;
+  entry.bytes_estimate = EstimateHotBytes(entry.fragments, options_.engine);
+  entry.accum += entry.hot->engine->stats();
   entry.hot.reset();  // in-flight pins keep the engine alive (RCU)
-  entry.resident = false;
   resident_bytes_ -= entry.charged_bytes;
   entry.charged_bytes = 0;
   ++entry.demotions;
   ++demotions_;
-  cv_.notify_all();
+}
+
+Status Fleet::ReserveLocked(const TenantEntry& self, std::uint64_t need) {
+  const std::uint64_t budget = options_.memory_budget_bytes;
+  if (budget == 0) return Status::Ok();
+  // Only resident tenants can be demoted; the rest of the ledger is held by
+  // promotions in flight. When even an empty resident set leaves no room,
+  // refuse before demoting anyone.
+  std::uint64_t in_flight = resident_bytes_;
+  for (const auto& [id, entry] : tenants_) {
+    if (entry->hot) in_flight -= entry->charged_bytes;
+  }
+  if (in_flight + need > budget) {
+    return Status::Unavailable(
+        "memory budget cannot admit tenant " + self.id + " (" +
+        std::to_string(need) + " bytes needed, " + std::to_string(in_flight) +
+        " of " + std::to_string(budget) + " held by promotions in flight)");
+  }
+  // Resident charges exceed what is missing, so a victim always exists.
+  while (resident_bytes_ + need > budget) DemoteLocked(*PickVictimLocked());
   return Status::Ok();
 }
 
-Status Fleet::ReserveLocked(std::unique_lock<std::mutex>& lock,
-                            TenantEntry& self, std::uint64_t need) {
-  if (options_.memory_budget_bytes == 0) return Status::Ok();
-  while (resident_bytes_ + need > options_.memory_budget_bytes) {
-    TenantEntry* victim = PickVictimLocked(&self);
-    if (victim == nullptr) {
-      bool any_demoting = false;
-      for (const auto& [id, entry] : tenants_) {
-        if (entry->demoting) {
-          any_demoting = true;
-          break;
-        }
-      }
-      if (any_demoting) {
-        // Someone else's demotion is about to free bytes; wait for it
-        // rather than failing a request that is one eviction away.
-        cv_.wait(lock);
-        continue;
-      }
-      return Status::Unavailable(
-          "memory budget cannot admit tenant " + self.id + " (" +
-          std::to_string(need) + " bytes needed, " +
-          std::to_string(options_.memory_budget_bytes -
-                         std::min(resident_bytes_,
-                                  options_.memory_budget_bytes)) +
-          " free, nothing evictable)");
-    }
-    if (Status st = DemoteLocked(lock, *victim); !st.ok()) return st;
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::shared_ptr<Fleet::EngineHandle>> Fleet::BuildHandle(
-    TenantEntry& entry) {
-  php::FragmentSet fragments;
-  std::uint64_t version = entry.version;
-  if (entry.has_cold) {
-    // Promotion path: re-parse the ruleset straight out of the mapping.
-    // Fail-closed: a corrupt image is an error, never an empty vocabulary.
-    auto parsed = resilience::ParseRulesetSnapshot(entry.cold.view());
-    if (!parsed.ok()) {
-      return Status::Unavailable("tenant " + entry.id +
-                                 " cold store unreadable: " +
-                                 parsed.status().message());
-    }
-    fragments = std::move(parsed.value().fragments);
-    version = parsed.value().version;
-  } else {
-    fragments = entry.seed;  // first promotion; seed kept until demoted
-  }
-
+std::shared_ptr<Fleet::EngineHandle> Fleet::BuildHandle(TenantEntry& entry) {
+  const std::uint64_t version = entry.version;
+  php::FragmentSet fragments = std::move(entry.fragments);
   auto handle = std::make_shared<EngineHandle>();
   core::JozaConfig config = options_.engine;
   config.initial_ruleset_version = version;
@@ -329,7 +241,7 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
 
   const std::uint64_t now = ++tick_;
   const double idle_ticks = static_cast<double>(now - entry.last_touch);
-  entry.ewma = entry.ewma * std::pow(options_.ewma_decay, idle_ticks) + 1.0;
+  entry.ewma = entry.ewma * std::pow(kEwmaDecay, idle_ticks) + 1.0;
   entry.last_touch = now;
   ++entry.requests;
   ++requests_;
@@ -340,28 +252,25 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
       // pool) alive past any concurrent demotion.
       return EnginePin(entry.hot, entry.hot->engine.get());
     }
-    if (entry.promoting || entry.demoting) {
-      // Stampede coalescing: exactly one thread rebuilds; the rest wait
-      // for its publish instead of racing duplicate automaton builds.
-      ++promote_waits_;
-      cv_.wait(lock);
-      continue;
-    }
-    break;
+    if (!entry.promoting) break;
+    // Stampede coalescing: exactly one thread rebuilds; the rest wait for
+    // its publish instead of racing duplicate automaton builds.
+    ++promote_waits_;
+    cv_.wait(lock);
   }
 
   // This thread owns the promotion. The global gate bounds concurrent
   // rebuilds fleet-wide so a cold-tenant stampede degrades to a queue,
   // not a fork-bomb of automaton constructions.
   entry.promoting = true;
-  while (active_promotions_ >= options_.max_concurrent_promotions) {
+  while (active_promotions_ >= kMaxConcurrentPromotions) {
     ++promote_waits_;
     cv_.wait(lock);
   }
   ++active_promotions_;
 
   const std::uint64_t need = entry.bytes_estimate;
-  if (Status reserved = ReserveLocked(lock, entry, need); !reserved.ok()) {
+  if (Status reserved = ReserveLocked(entry, need); !reserved.ok()) {
     --active_promotions_;
     entry.promoting = false;
     ++acquire_failures_;
@@ -376,20 +285,12 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
   peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
 
   lock.unlock();
-  auto built = BuildHandle(entry);
+  std::shared_ptr<EngineHandle> built = BuildHandle(entry);
   lock.lock();
 
   --active_promotions_;
   entry.promoting = false;
-  if (!built.ok()) {
-    resident_bytes_ -= entry.charged_bytes;
-    entry.charged_bytes = 0;
-    ++acquire_failures_;
-    cv_.notify_all();
-    return built.status();
-  }
-  entry.hot = std::move(built).value();
-  entry.resident = true;
+  entry.hot = std::move(built);
   if (entry.pending_snapshot_load) {
     entry.hot->engine->NoteSnapshotLoad();
     entry.pending_snapshot_load = false;
@@ -401,17 +302,15 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
 }
 
 Status Fleet::Demote(std::string_view id) {
-  if (options_.cold_dir.empty()) {
-    return Status::InvalidArgument("no cold_dir configured");
-  }
   std::unique_lock<std::mutex> lock(mu_);
   auto it = tenants_.find(std::string(id));
   if (it == tenants_.end()) {
     return Status::NotFound("unknown tenant: " + std::string(id));
   }
   TenantEntry& entry = *it->second;
-  while (entry.promoting || entry.demoting) cv_.wait(lock);
-  return DemoteLocked(lock, entry);
+  while (entry.promoting) cv_.wait(lock);
+  DemoteLocked(entry);
+  return Status::Ok();
 }
 
 Status Fleet::OnSourcesChanged(std::string_view id,
@@ -427,7 +326,7 @@ Status Fleet::OnSourcesChanged(std::string_view id,
   }
   if (!handle) {
     return Status::Unavailable("tenant " + std::string(id) +
-                               " is cold; updates apply on promotion");
+                               " is cold; Acquire it before updating");
   }
   handle->engine->OnSourcesChanged(files);
   return Status::Ok();

@@ -1,40 +1,43 @@
 // Multi-tenant engine fleet with tiered ruleset memory.
 //
-// One Joza deployment protecting thousands of tenant applications cannot
-// keep every tenant's fragment vocabulary, Aho–Corasick automaton and
-// verdict cache shards hot in RAM. The Fleet owns one core::Joza engine
-// per tenant and tiers them between two residency states:
+// One Joza deployment protecting many tenant applications cannot keep
+// every tenant's Aho–Corasick automaton, verdict cache shards and PTI
+// daemons hot in RAM. The Fleet owns one core::Joza engine per tenant and
+// tiers them between two residency states:
 //
 //   hot   — full engine resident: automaton built, caches live, optional
 //           per-tenant PTI daemon pool spun up.
-//   cold  — the tenant's Ruleset serialized through the JZSNAP01 snapshot
-//           codec into an mmap-backed cold store; the engine, caches and
-//           daemons are gone. The mapped bytes are all that remains.
+//   cold  — only the tenant's fragment vocabulary and ruleset version stay,
+//           in the fleet's own entry; the engine, caches and daemons are
+//           gone. The vocabulary is small (the testbed's is ~1.4 KB of
+//           text) next to what an engine builds from it.
 //
 // The residency manager runs a greedy knapsack/LRU hybrid under a
 // configurable byte budget: every Acquire() bumps the tenant's EWMA hit
 // rate and last-touch tick, and when admitting a tenant would overflow the
 // budget, the resident tenant with the lowest decayed-rate-per-byte score
-// is demoted first. Promotion (cold → hot) re-parses the Ruleset straight
-// out of the mapping — counted as a cold_load — and is bounded by a
+// is demoted first. A tenant the budget can never admit is refused before
+// anyone is demoted. Promotion (cold → hot) moves the vocabulary into a
+// freshly built engine — counted as a cold_load — and is bounded by a
 // concurrency gate so a stampede of cold tenants cannot fork-bomb
 // automaton rebuilds; concurrent acquirers of the SAME tenant coalesce on
-// one rebuild.
+// one rebuild. Demotion moves the published ruleset's vocabulary and
+// version back into the entry. Neither step does I/O, so neither can fail.
 //
 // Safety properties:
-//   * Verdict identity: demotion round-trips the exact fragment vocabulary
-//     and version through the crash-durable codec, so a re-promoted tenant
-//     produces byte-identical verdicts. Only cache warmth is lost.
-//   * Fail-closed: an unreadable or corrupt cold image fails the Acquire
-//     with an error — the gateway answers 503; no request is ever served
-//     with a partial or absent vocabulary (ROADMAP §IV-C semantics).
+//   * Verdict identity: demotion keeps the exact fragment vocabulary and
+//     version, so a re-promoted tenant produces byte-identical verdicts.
+//     Only cache warmth is lost.
+//   * Fail-closed: an Acquire the budget cannot admit fails with an error
+//     — the gateway answers 503; no request is ever served with a partial
+//     or absent vocabulary (the paper's §IV-C).
 //   * RCU pins: Acquire returns a shared_ptr pin. Demotion drops the
 //     fleet's reference but in-flight checks keep theirs; the demoted
 //     engine (and its daemon pool) is destroyed only when the last reader
 //     drops the pin.
 //
 // Thread safety: every public method may be called from any number of
-// threads (all gateway workers/shards route through one Fleet).
+// threads (all gateway handlers route through one Fleet).
 #pragma once
 
 #include <condition_variable>
@@ -55,15 +58,15 @@
 namespace joza::tenant {
 
 // Every request without an explicit tenant id routes here (back-compat
-// with single-tenant deployments). Same name owns legacy snapshots.
+// with single-tenant deployments).
 inline constexpr const char* kDefaultTenant =
     resilience::kDefaultTenantName;
 
 inline constexpr std::size_t kMaxTenantIdBytes = 64;
 
-// Tenant ids are cold-store file name components, so the grammar is strict:
+// Tenant ids are snapshot file name components, so the grammar is strict:
 // [A-Za-z0-9_-]{1,64}. No dots, no slashes — a hostile id cannot traverse
-// out of the cold directory or collide with ".tmp" suffixes.
+// out of the snapshot directory or collide with ".tmp" suffixes.
 bool ValidTenantId(std::string_view id);
 
 struct FleetOptions {
@@ -74,11 +77,6 @@ struct FleetOptions {
   // forever (the back-compat shape — and the reference a budgeted run's
   // verdicts are gated against).
   std::uint64_t memory_budget_bytes = 0;
-  // Directory for cold images (<cold_dir>/<tenant>.ruleset). Required when
-  // budgeted; created on first use.
-  std::string cold_dir;
-  // Bound on concurrent cold→hot rebuilds (the stampede gate).
-  std::size_t max_concurrent_promotions = 2;
   // Per-tenant PTI daemon pools, spun up lazily with the engine on
   // promotion and torn down with it on demotion (idle tenant daemons cost
   // nothing once their tenant goes cold).
@@ -87,9 +85,6 @@ struct FleetOptions {
   // When non-empty, tenants warm-start from (and persist to) the
   // tenant-qualified snapshot path <snapshot_base>.<tenant>.
   std::string snapshot_base;
-  // Per-tick decay of the EWMA access rate (the LRU half of the eviction
-  // score; the rate-per-byte ratio is the knapsack half).
-  double ewma_decay = 0.98;
 };
 
 // One tenant's externally visible accounting.
@@ -114,7 +109,7 @@ struct FleetStats {
   std::uint64_t cold_loads = 0;
   std::uint64_t demotions = 0;
   std::uint64_t promote_waits = 0;     // stampede-coalesced + gate waits
-  std::uint64_t acquire_failures = 0;  // fail-closed refusals
+  std::uint64_t acquire_failures = 0;  // budget refusals
 };
 
 class Fleet {
@@ -132,8 +127,8 @@ class Fleet {
 
   // Registers a tenant with its seed vocabulary. Tenants start cold
   // (lazy: nothing is built until the first Acquire). When snapshot_base
-  // is set, a persisted tenant-qualified snapshot (or, for the default
-  // tenant, a legacy un-suffixed one) warm-starts the vocabulary/version.
+  // is set, a persisted <snapshot_base>.<tenant> snapshot warm-starts the
+  // vocabulary and version.
   Status AddTenant(std::string_view id, php::FragmentSet seed);
 
   bool Has(std::string_view id) const;
@@ -141,16 +136,16 @@ class Fleet {
 
   // Routes one request to `id`: bumps its access stats and returns a pin
   // on its hot engine, promoting — and demoting victims — as needed.
-  // Fail-closed: NotFound for unknown tenants, an error when the cold
-  // image is unreadable or the budget cannot admit the tenant.
+  // Fail-closed: NotFound for unknown tenants, Unavailable when the budget
+  // cannot admit the tenant even after demoting every resident one.
   StatusOr<EnginePin> Acquire(std::string_view id);
 
-  // Forces a tenant cold (ops hook / tests). No-op if already cold.
+  // Forces a tenant cold (ops hook / tests). No-op if already cold;
+  // NotFound for unknown tenants.
   Status Demote(std::string_view id);
 
   // Folds new sources into a tenant's published ruleset (hot tenants
-  // only; a cold tenant's vocabulary updates on next promotion via its
-  // persisted snapshot).
+  // only; a cold tenant answers Unavailable).
   Status OnSourcesChanged(std::string_view id,
                           const std::vector<php::SourceFile>& files);
 
@@ -181,19 +176,17 @@ class Fleet {
     ~EngineHandle();
   };
 
-  std::string ColdPath(std::string_view id) const;
-  // Builds a hot handle for `entry` from its cold image (preferred) or
-  // seed vocabulary. Called with the fleet lock released; the entry's
-  // promoting flag keeps its tier fields stable.
-  StatusOr<std::shared_ptr<EngineHandle>> BuildHandle(TenantEntry& entry);
-  // Serializes `entry`'s ruleset into the cold store and drops the hot
-  // handle. Lock held on entry and exit; released around the I/O.
-  Status DemoteLocked(std::unique_lock<std::mutex>& lock,
-                      TenantEntry& entry);
-  // Evicts lowest-score residents until `need` more bytes fit. Lock held.
-  Status ReserveLocked(std::unique_lock<std::mutex>& lock,
-                       TenantEntry& self, std::uint64_t need);
-  TenantEntry* PickVictimLocked(const TenantEntry* exclude);
+  // Builds a hot handle, moving `entry`'s vocabulary into the engine.
+  // Called with the fleet lock released; the entry's promoting flag keeps
+  // its tier fields stable.
+  std::shared_ptr<EngineHandle> BuildHandle(TenantEntry& entry);
+  // Moves the published ruleset's vocabulary and version back into
+  // `entry` and drops the hot handle. Lock held.
+  void DemoteLocked(TenantEntry& entry);
+  // Evicts lowest-score residents until `need` more bytes fit, or refuses
+  // at once, demoting no one, when they never can. Lock held.
+  Status ReserveLocked(const TenantEntry& self, std::uint64_t need);
+  TenantEntry* PickVictimLocked();
   double ScoreLocked(const TenantEntry& entry) const;
 
   FleetOptions options_;
@@ -205,7 +198,6 @@ class Fleet {
   std::unordered_map<std::string, std::unique_ptr<TenantEntry>> tenants_;
   std::uint64_t tick_ = 0;  // advances per Acquire; drives EWMA decay
   std::size_t active_promotions_ = 0;
-  bool cold_dir_ready_ = false;
 
   // Ledger (all guarded by mu_).
   std::uint64_t resident_bytes_ = 0;

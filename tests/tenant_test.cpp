@@ -1,8 +1,8 @@
 // Multi-tenant fleet suite: tenant id hygiene, gateway routing edges under
 // both unknown-tenant policies, tiered hot/cold residency (verdict identity
-// across demote/promote, the budget ledger, fail-closed on a corrupt cold
-// store), and the snapshot migration shim. The demotion-vs-pinned-Check
-// race test runs under ThreadSanitizer in CI.
+// across demote/promote, the budget ledger, refusing a tenant the budget
+// can never admit), and tenant-qualified snapshots. The
+// demotion-vs-pinned-Check race test runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <random>
 #include <string>
@@ -31,7 +30,8 @@
 namespace joza {
 namespace {
 
-// Scratch directory per test; removed best-effort in the destructor.
+// Temporary directory for the snapshot tests; removed best-effort in the
+// destructor.
 struct ScratchDir {
   std::string path;
   ScratchDir() {
@@ -44,12 +44,9 @@ struct ScratchDir {
   }
   ~ScratchDir() {
     if (path.empty()) return;
-    // Only files this suite creates live here: cold images, snapshots.
+    // Only files this suite creates live here: snapshots.
     std::vector<std::string> names;
-    for (const char* stem :
-         {"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "default"}) {
-      names.push_back(std::string(stem) + ".ruleset");
-      names.push_back(std::string(stem) + ".ruleset.tmp");
+    for (const char* stem : {"alpha", "default"}) {
       names.push_back(std::string("snap.") + stem);
       names.push_back(std::string("snap.") + stem + ".tmp");
     }
@@ -72,13 +69,31 @@ php::FragmentSet TinySeed(const std::string& marker) {
   return seed;
 }
 
-tenant::FleetOptions ColdCapableOptions(const ScratchDir& dir,
-                                        std::uint64_t budget = 0) {
+// ~200 fragments of random bytes: an automaton far larger than a
+// TinySeed's.
+php::FragmentSet RandomBytesSeed() {
+  std::mt19937_64 rng(2015);
+  php::FragmentSet seed;
+  for (int i = 0; i < 200; ++i) {
+    std::string text = "SELECT ";
+    const std::size_t length = 1 + rng() % 40;
+    for (std::size_t j = 0; j < length; ++j) {
+      text.push_back(static_cast<char>(rng() % 256));
+    }
+    seed.AddRaw(text + " FROM t" + std::to_string(i));
+  }
+  return seed;
+}
+
+tenant::FleetOptions TestOptions(std::uint64_t budget = 0) {
   tenant::FleetOptions opts;
   opts.engine.cache_capacity = 1024;
   opts.memory_budget_bytes = budget;
-  opts.cold_dir = dir.path;
   return opts;
+}
+
+std::uint64_t Estimate(const php::FragmentSet& seed) {
+  return tenant::Fleet::EstimateHotBytes(seed, TestOptions().engine);
 }
 
 http::Request WithTenant(http::Request request, const std::string& id) {
@@ -135,14 +150,6 @@ TEST(Fleet, AddTenantValidates) {
   EXPECT_FALSE(fleet.Has("beta"));
 }
 
-TEST(Fleet, BudgetRequiresColdDir) {
-  tenant::FleetOptions opts;
-  opts.memory_budget_bytes = 1 << 20;
-  tenant::Fleet fleet(opts);
-  EXPECT_FALSE(fleet.AddTenant("alpha", TinySeed("alpha")).ok())
-      << "a budget with nowhere to demote to must be refused";
-}
-
 TEST(Fleet, AcquireUnknownTenantIsNotFound) {
   tenant::Fleet fleet({});
   ASSERT_TRUE(fleet.AddTenant("alpha", TinySeed("alpha")).ok());
@@ -155,9 +162,7 @@ TEST(Fleet, AcquireUnknownTenantIsNotFound) {
 // ---------------------------------------------------------------------------
 
 TEST(Fleet, DemotePromoteKeepsVerdictsAndVersion) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  tenant::Fleet fleet(ColdCapableOptions(dir));
+  tenant::Fleet fleet(TestOptions());
   ASSERT_TRUE(fleet.AddTenant("alpha", TestbedSeed()).ok());
 
   auto app = attack::MakeTestbed();
@@ -188,8 +193,8 @@ TEST(Fleet, DemotePromoteKeepsVerdictsAndVersion) {
   EXPECT_EQ(fleet.stats().demotions, 1u);
   EXPECT_EQ(fleet.stats().resident, 0u);
 
-  // Promotion rebuilds from the mmap'd cold image: same verdicts, same
-  // version — only cache warmth was lost.
+  // Promotion rebuilds from the vocabulary the demotion kept: same
+  // verdicts, same version — only cache warmth was lost.
   EXPECT_EQ(serve(benign), 200);
   EXPECT_EQ(serve(exploit), 500);
   EXPECT_EQ(fleet.Acquire("alpha").value()->ruleset_version(),
@@ -198,9 +203,7 @@ TEST(Fleet, DemotePromoteKeepsVerdictsAndVersion) {
 }
 
 TEST(Fleet, OnSourcesChangedOnColdTenantFailsCleanly) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  tenant::Fleet fleet(ColdCapableOptions(dir));
+  tenant::Fleet fleet(TestOptions());
   ASSERT_TRUE(fleet.AddTenant("alpha", TinySeed("alpha")).ok());
   ASSERT_TRUE(fleet.Acquire("alpha").ok());
   ASSERT_TRUE(fleet.Demote("alpha").ok());
@@ -214,20 +217,14 @@ TEST(Fleet, OnSourcesChangedOnColdTenantFailsCleanly) {
 // ---------------------------------------------------------------------------
 
 TEST(Fleet, LedgerNeverExceedsBudget) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
   const std::vector<std::string> ids = {"alpha", "beta",  "gamma",
                                         "delta", "epsilon", "zeta"};
   std::uint64_t per_tenant = 0;
-  tenant::FleetOptions probe;
-  probe.engine.cache_capacity = 1024;
   for (const std::string& id : ids) {
-    per_tenant = std::max(
-        per_tenant, tenant::Fleet::EstimateHotBytes(TinySeed(id),
-                                                    probe.engine));
+    per_tenant = std::max(per_tenant, Estimate(TinySeed(id)));
   }
   const std::uint64_t budget = per_tenant * 2 + per_tenant / 2;  // ~2 hot
-  tenant::Fleet fleet(ColdCapableOptions(dir, budget));
+  tenant::Fleet fleet(TestOptions(budget));
   for (const std::string& id : ids) {
     ASSERT_TRUE(fleet.AddTenant(id, TinySeed(id)).ok());
   }
@@ -248,20 +245,15 @@ TEST(Fleet, LedgerNeverExceedsBudget) {
   EXPECT_LE(s.resident, 2u);
 }
 
-// A tenant that went through the cold store is charged what it was charged
-// at first promotion: the charge follows the vocabulary, not the size of
-// the cold image it was re-parsed from.
+// A demoted tenant is charged what it was charged at first promotion: the
+// charge follows the vocabulary, which demotion keeps unchanged.
 TEST(Fleet, RepromotedTenantIsChargedAsAtFirstPromotion) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  const tenant::FleetOptions options = ColdCapableOptions(dir);
-  tenant::Fleet fleet(options);
+  tenant::Fleet fleet(TestOptions());
   ASSERT_TRUE(fleet.AddTenant("alpha", TestbedSeed()).ok());
 
   ASSERT_TRUE(fleet.Acquire("alpha").ok());
   const std::uint64_t first = fleet.TenantInfos().front().resident_bytes;
-  EXPECT_EQ(first,
-            tenant::Fleet::EstimateHotBytes(TestbedSeed(), options.engine));
+  EXPECT_EQ(first, Estimate(TestbedSeed()));
 
   for (int cycle = 0; cycle < 2; ++cycle) {
     ASSERT_TRUE(fleet.Demote("alpha").ok());
@@ -278,18 +270,8 @@ TEST(Fleet, RepromotedTenantIsChargedAsAtFirstPromotion) {
 TEST(Fleet, EstimateBoundsTheBuiltAutomaton) {
   std::vector<php::FragmentSet> vocabularies;
   vocabularies.push_back(TestbedSeed());
-  std::mt19937_64 rng(2015);
-  php::FragmentSet random;
-  for (int i = 0; i < 200; ++i) {
-    std::string text = "SELECT ";
-    const std::size_t length = 1 + rng() % 40;
-    for (std::size_t j = 0; j < length; ++j) {
-      text.push_back(static_cast<char>(rng() % 256));
-    }
-    random.AddRaw(text + " FROM t" + std::to_string(i));
-  }
-  ASSERT_GT(random.size(), 100u);
-  vocabularies.push_back(std::move(random));
+  vocabularies.push_back(RandomBytesSeed());
+  ASSERT_GT(vocabularies.back().size(), 100u);
 
   for (std::size_t v = 0; v < vocabularies.size(); ++v) {
     tenant::FleetOptions options;
@@ -307,41 +289,43 @@ TEST(Fleet, EstimateBoundsTheBuiltAutomaton) {
 }
 
 // ---------------------------------------------------------------------------
-// Fail-closed: corrupt cold store
+// Fail-closed: a tenant the budget can never admit
 // ---------------------------------------------------------------------------
 
-TEST(Fleet, CorruptColdImageFailsClosed) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  tenant::Fleet fleet(ColdCapableOptions(dir));
-  ASSERT_TRUE(fleet.AddTenant("alpha", TinySeed("alpha")).ok());
-  ASSERT_TRUE(fleet.Acquire("alpha").ok());
-  ASSERT_TRUE(fleet.Demote("alpha").ok());
+// A tenant larger than the whole budget is refused before anyone is
+// demoted: emptying the resident set could never make room for it.
+TEST(Fleet, UnadmittableTenantEvictsNoOne) {
+  const std::uint64_t per_tenant =
+      std::max(Estimate(TinySeed("alpha")), Estimate(TinySeed("beta")));
+  const std::uint64_t budget = per_tenant * 2 + per_tenant / 2;  // ~2 hot
+  php::FragmentSet huge = RandomBytesSeed();
+  ASSERT_GT(Estimate(huge), budget);
 
-  {
-    std::ofstream f(dir.path + "/alpha.ruleset",
-                    std::ios::binary | std::ios::trunc);
-    f << "GARBAGE-NOT-A-SNAPSHOT";
-  }
-  auto pin = fleet.Acquire("alpha");
-  EXPECT_FALSE(pin.ok()) << "a corrupt cold image must never yield an "
-                            "engine with a partial vocabulary";
-  EXPECT_GE(fleet.stats().acquire_failures, 1u);
+  tenant::Fleet fleet(TestOptions(budget));
+  ASSERT_TRUE(fleet.AddTenant("alpha", TinySeed("alpha")).ok());
+  ASSERT_TRUE(fleet.AddTenant("beta", TinySeed("beta")).ok());
+  ASSERT_TRUE(fleet.AddTenant("gamma", std::move(huge)).ok());
+  ASSERT_TRUE(fleet.Acquire("alpha").ok());
+  ASSERT_TRUE(fleet.Acquire("beta").ok());
+  ASSERT_EQ(fleet.stats().resident, 2u);
+
+  auto pin = fleet.Acquire("gamma");
+  ASSERT_FALSE(pin.ok());
+  EXPECT_EQ(pin.status().code(), StatusCode::kUnavailable);
+  const tenant::FleetStats s = fleet.stats();
+  EXPECT_EQ(s.demotions, 0u) << "a refused tenant must not evict anyone";
+  EXPECT_EQ(s.resident, 2u);
+  EXPECT_EQ(s.acquire_failures, 1u);
 }
 
-TEST(Fleet, CorruptColdImageAnswers503OverTheWire) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  tenant::Fleet fleet(ColdCapableOptions(dir));
-  ASSERT_TRUE(fleet.AddTenant("alpha", TestbedSeed()).ok());
+TEST(Fleet, UnadmittableTenantAnswers503OverTheWire) {
+  const std::uint64_t budget = Estimate(TestbedSeed()) * 2;
+  php::FragmentSet huge = RandomBytesSeed();
+  ASSERT_GT(Estimate(huge), budget);
+
+  tenant::Fleet fleet(TestOptions(budget));
   ASSERT_TRUE(fleet.AddTenant(tenant::kDefaultTenant, TestbedSeed()).ok());
-  ASSERT_TRUE(fleet.Acquire("alpha").ok());
-  ASSERT_TRUE(fleet.Demote("alpha").ok());
-  {
-    std::ofstream f(dir.path + "/alpha.ruleset",
-                    std::ios::binary | std::ios::trunc);
-    f << "JZ??corrupt";
-  }
+  ASSERT_TRUE(fleet.AddTenant("alpha", std::move(huge)).ok());
 
   gateway::GatewayConfig gcfg;
   gcfg.workers = 2;
@@ -351,18 +335,23 @@ TEST(Fleet, CorruptColdImageAnswers503OverTheWire) {
   ASSERT_TRUE(port.ok()) << port.status().ToString();
   gateway::KeepAliveClient client(port.value());
 
-  auto broken = client.Send(
-      WithTenant(http::Request::Get("/post", {{"id", "1"}}), "alpha"));
-  ASSERT_TRUE(broken.ok()) << broken.status().ToString();
-  EXPECT_EQ(broken->status, 503)
-      << "an unpromotable tenant is refused, never served unprotected";
+  auto warm = client.Get("/post?id=1");
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->status, 200);
 
-  // Other tenants are unaffected.
+  auto refused = client.Send(
+      WithTenant(http::Request::Get("/post", {{"id", "1"}}), "alpha"));
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status, 503)
+      << "an unadmittable tenant is refused, never served unprotected";
+
+  // The resident default tenant was not evicted for it.
   auto healthy = client.Get("/post?id=1");
   ASSERT_TRUE(healthy.ok());
   EXPECT_EQ(healthy->status, 200);
 
   EXPECT_GE(server.stats().tenant_unavailable, 1u);
+  EXPECT_EQ(fleet.stats().demotions, 0u);
   server.Stop();
 }
 
@@ -371,9 +360,7 @@ TEST(Fleet, CorruptColdImageAnswers503OverTheWire) {
 // ---------------------------------------------------------------------------
 
 void CheckRoutingEdges(gateway::GatewayConfig::UnknownTenant policy) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  tenant::Fleet fleet(ColdCapableOptions(dir));
+  tenant::Fleet fleet(TestOptions());
   ASSERT_TRUE(fleet.AddTenant(tenant::kDefaultTenant, TestbedSeed()).ok());
   ASSERT_TRUE(fleet.AddTenant("alpha", TestbedSeed()).ok());
 
@@ -416,7 +403,7 @@ void CheckRoutingEdges(gateway::GatewayConfig::UnknownTenant policy) {
     EXPECT_EQ(r->status, strict ? 404 : 200);
   }
   // Invalid ids (traversal, oversized) are never looked up — same policy
-  // split as unknown, and no cold-store path is ever formed from them.
+  // split as unknown.
   {
     auto r = client.Send(WithTenant(benign, "../evil"));
     ASSERT_TRUE(r.ok());
@@ -455,7 +442,6 @@ void CheckRoutingEdges(gateway::GatewayConfig::UnknownTenant policy) {
   }
   EXPECT_EQ(stats.tenant_unavailable, 0u);
   server.Stop();
-  ASSERT_EQ(::access((dir.path + "/evil.ruleset").c_str(), F_OK), -1);
 }
 
 TEST(TenantRouting, EpollModelDefaultPolicy) {
@@ -489,7 +475,7 @@ TEST(TenantRouting, MissingDefaultTenantIs404) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot migration shim
+// Tenant-qualified snapshots
 // ---------------------------------------------------------------------------
 
 TEST(TenantSnapshots, QualifiedPathComposition) {
@@ -499,44 +485,19 @@ TEST(TenantSnapshots, QualifiedPathComposition) {
             "snap.default");
 }
 
-TEST(TenantSnapshots, LegacyFallbackIsDefaultTenantOnly) {
+TEST(Fleet, WarmStartsFromQualifiedSnapshotAndPersistsQualified) {
   ScratchDir dir;
   ASSERT_FALSE(dir.path.empty());
   const std::string base = dir.path + "/snap";
-  php::FragmentSet frags = TinySeed("legacy");
-  ASSERT_TRUE(resilience::SaveRulesetSnapshot(base, frags, 7).ok());
-
-  // The default tenant inherits the legacy un-suffixed snapshot.
-  auto def = resilience::LoadTenantRulesetSnapshot(
-      base, resilience::kDefaultTenantName);
-  ASSERT_TRUE(def.ok()) << def.status().ToString();
-  EXPECT_EQ(def->version, 7u);
-
-  // Other tenants never read it: a cold start, not a cross-tenant leak.
-  auto other = resilience::LoadTenantRulesetSnapshot(base, "alpha");
-  EXPECT_FALSE(other.ok());
-
-  // Once a qualified snapshot exists it wins over the legacy file.
+  ASSERT_TRUE(resilience::SaveRulesetSnapshot(
+                  resilience::TenantSnapshotPath(base, tenant::kDefaultTenant),
+                  TinySeed("saved"), 3)
+                  .ok());
+  // An un-suffixed file at the base path belongs to no tenant.
   ASSERT_TRUE(
-      resilience::SaveRulesetSnapshot(
-          resilience::TenantSnapshotPath(base,
-                                         resilience::kDefaultTenantName),
-          frags, 9)
-          .ok());
-  auto upgraded = resilience::LoadTenantRulesetSnapshot(
-      base, resilience::kDefaultTenantName);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_EQ(upgraded->version, 9u);
-}
+      resilience::SaveRulesetSnapshot(base, TinySeed("unsuffixed"), 7).ok());
 
-TEST(Fleet, WarmStartsFromLegacySnapshotAndPersistsQualified) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  const std::string base = dir.path + "/snap";
-  ASSERT_TRUE(
-      resilience::SaveRulesetSnapshot(base, TinySeed("legacy"), 3).ok());
-
-  tenant::FleetOptions opts = ColdCapableOptions(dir);
+  tenant::FleetOptions opts = TestOptions();
   opts.snapshot_base = base;
   {
     tenant::Fleet fleet(opts);
@@ -546,11 +507,12 @@ TEST(Fleet, WarmStartsFromLegacySnapshotAndPersistsQualified) {
     auto pin = fleet.Acquire(tenant::kDefaultTenant);
     ASSERT_TRUE(pin.ok());
     EXPECT_EQ(pin.value()->ruleset_version(), 3u)
-        << "the default tenant must warm-start from the legacy snapshot";
+        << "the default tenant must warm-start from <base>.default, never "
+           "from the un-suffixed <base>";
     auto alpha = fleet.Acquire("alpha");
     ASSERT_TRUE(alpha.ok());
     EXPECT_EQ(alpha.value()->ruleset_version(), 0u)
-        << "non-default tenants start cold, not from the legacy file";
+        << "a tenant without its own snapshot starts at version 0";
 
     // A ruleset update persists to the tenant-qualified path.
     ASSERT_TRUE(
@@ -574,9 +536,7 @@ TEST(Fleet, WarmStartsFromLegacySnapshotAndPersistsQualified) {
 // ---------------------------------------------------------------------------
 
 TEST(Fleet, DemotionRacesInFlightPins) {
-  ScratchDir dir;
-  ASSERT_FALSE(dir.path.empty());
-  tenant::Fleet fleet(ColdCapableOptions(dir));
+  tenant::Fleet fleet(TestOptions());
   ASSERT_TRUE(fleet.AddTenant("alpha", TestbedSeed()).ok());
 
   constexpr std::size_t kThreads = 4;
@@ -588,9 +548,9 @@ TEST(Fleet, DemotionRacesInFlightPins) {
 
   std::thread demoter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      // Failure is fine (the tenant may be mid-promotion); what must hold
-      // is that pinned readers never observe a torn engine.
-      (void)fleet.Demote("alpha");
+      // Demotion waits out a promotion in flight; what must hold is that
+      // pinned readers never observe a torn engine.
+      EXPECT_TRUE(fleet.Demote("alpha").ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

@@ -7,7 +7,7 @@
 //                [--breaker-threshold N] [--fault point[:rate]]...
 //                [--restart-budget N] [--snapshot-path FILE]
 //                [--source-updates N]
-//                [--tenants FILE] [--memory-budget-mb N] [--cold-dir DIR]
+//                [--tenants FILE] [--memory-budget-mb N]
 //                [--unknown-tenant default|404]
 //
 // Binds 127.0.0.1 (port 0 picks a free port), installs one shared Joza
@@ -42,12 +42,12 @@
 // '#' comments) and switches the server to a tenant::Fleet of per-tenant
 // engines, routed by the X-Joza-Tenant header or a /t/<tenant>/ URL prefix
 // (the default tenant serves unrouted traffic). --memory-budget-mb bounds
-// the fleet's hot resident set (0 = unbudgeted; cold tenants spill to
-// --cold-dir as mmap-backed ruleset images and rebuild on first touch),
-// and --unknown-tenant picks the policy for unregistered ids (fall back to
-// the default tenant, or answer 404). With --snapshot-path each tenant
-// persists to and warm-starts from <path>.<tenant>; the default tenant
-// also migrates a legacy un-suffixed snapshot.
+// the fleet's hot resident set (0 = unbudgeted; a demoted tenant keeps only
+// its fragment vocabulary in memory and rebuilds its engine on next
+// touch), and --unknown-tenant picks the policy for unregistered ids (fall
+// back to the default tenant, or answer 404). With --snapshot-path each
+// tenant persists to and warm-starts from <path>.<tenant>; the
+// single-engine gateway does the same as the default tenant.
 //
 // Exit codes: 0 success, 2 config/usage parse failure, 3 bind/listen
 // failure.
@@ -94,7 +94,7 @@ int UsageError(const char* argv0) {
       "          [--breaker-threshold N] [--fault point[:rate]]...\n"
       "          [--restart-budget N] [--snapshot-path FILE]\n"
       "          [--source-updates N]\n"
-      "          [--tenants FILE] [--memory-budget-mb N] [--cold-dir DIR]\n"
+      "          [--tenants FILE] [--memory-budget-mb N]\n"
       "          [--unknown-tenant default|404]\n",
       argv0);
   return kExitConfigError;
@@ -133,7 +133,6 @@ int main(int argc, char** argv) {
   long source_updates = 0;
   std::string tenants_file;
   long memory_budget_mb = 0;
-  std::string cold_dir = "joza_cold";
   gateway::GatewayConfig::UnknownTenant unknown_tenant =
       gateway::GatewayConfig::UnknownTenant::kDefaultTenant;
   std::size_t breaker_threshold = 5;
@@ -185,8 +184,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
                (value = next())) {
       memory_budget_mb = std::atol(value);
-    } else if (std::strcmp(argv[i], "--cold-dir") == 0 && (value = next())) {
-      cold_dir = value;
     } else if (std::strcmp(argv[i], "--unknown-tenant") == 0 &&
                (value = next())) {
       if (std::strcmp(value, "404") == 0) {
@@ -232,13 +229,15 @@ int main(int argc, char** argv) {
   const bool fleet_mode = !tenants_file.empty();
 
   // Warm start (single-engine mode; the fleet does its own per-tenant
-  // loads). The engine owns the default tenant's qualified snapshot path;
-  // the loader's migration shim still accepts a legacy un-suffixed file.
+  // loads). The engine reads and writes the default tenant's qualified
+  // snapshot path.
   std::uint64_t recovered_version = 0;
   bool warm_started = false;
+  const std::string engine_snapshot_path =
+      resilience::TenantSnapshotPath(snapshot_path,
+                                     resilience::kDefaultTenantName);
   if (!fleet_mode && !snapshot_path.empty()) {
-    auto snap = resilience::LoadTenantRulesetSnapshot(
-        snapshot_path, resilience::kDefaultTenantName);
+    auto snap = resilience::LoadRulesetSnapshot(engine_snapshot_path);
     if (snap.ok()) {
       recovered_version = snap->version;
       seed = std::move(snap->fragments);
@@ -254,15 +253,14 @@ int main(int argc, char** argv) {
     joza.NoteSnapshotLoad();
     std::printf("warm start: ruleset version %llu (%zu fragments) from %s\n",
                 static_cast<unsigned long long>(recovered_version),
-                seed.size(), snapshot_path.c_str());
+                seed.size(), engine_snapshot_path.c_str());
   }
   if (!fleet_mode && !snapshot_path.empty()) {
-    const std::string save_path = resilience::TenantSnapshotPath(
-        snapshot_path, resilience::kDefaultTenantName);
-    joza.SetSnapshotSink([save_path](const php::FragmentSet& fragments,
-                                     std::uint64_t version) {
-      return resilience::SaveRulesetSnapshot(save_path, fragments, version);
-    });
+    joza.SetSnapshotSink(
+        [path = engine_snapshot_path](const php::FragmentSet& fragments,
+                                      std::uint64_t version) {
+          return resilience::SaveRulesetSnapshot(path, fragments, version);
+        });
   }
 
   std::unique_ptr<ipc::DaemonPool> pool;
@@ -291,7 +289,6 @@ int main(int argc, char** argv) {
     fopts.engine.initial_ruleset_version = 0;  // per-tenant versions
     fopts.memory_budget_bytes =
         static_cast<std::uint64_t>(memory_budget_mb) * 1024 * 1024;
-    fopts.cold_dir = cold_dir;
     fopts.use_daemon_pool = use_pool;
     fopts.pool.max_size = pool_size;
     fopts.pool.supervisor.restart_budget = restart_budget;
@@ -344,10 +341,9 @@ int main(int argc, char** argv) {
   std::printf("serving:      %zu event shards, %zu handler threads\n",
               server->shard_count(), workers);
   if (fleet) {
-    std::printf("fleet:        %zu tenants, budget %ld MB, cold dir %s, "
+    std::printf("fleet:        %zu tenants, budget %ld MB, "
                 "unknown-tenant %s\n",
                 fleet->TenantIds().size(), memory_budget_mb,
-                cold_dir.c_str(),
                 unknown_tenant ==
                         gateway::GatewayConfig::UnknownTenant::kNotFound
                     ? "404"
