@@ -303,7 +303,7 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
   result.AddExact("parity.acquire_errors",
                   static_cast<double>(budgeted.acquire_errors +
                                       unbudgeted.acquire_errors));
-  result.RequireEq("no acquire ever fails closed on a healthy cold store",
+  result.RequireEq("no acquire ever fails closed while every tenant fits",
                    "parity.acquire_errors", 0);
   result.AddExact("parity.fleet_acquire_failures",
                   static_cast<double>(budgeted.stats.acquire_failures +
@@ -371,7 +371,7 @@ SuiteResult RunMultitenantSuite(const SuiteOptions& options) {
                        static_cast<double>(gs.tenant_routed), "count");
         result.AddExact("sweep.tenant_unavailable",
                         static_cast<double>(gs.tenant_unavailable));
-        result.RequireEq("no fail-closed 503 on a healthy cold store",
+        result.RequireEq("no fail-closed 503 while every tenant fits",
                          "sweep.tenant_unavailable", 0);
         server.Stop();
       } else {

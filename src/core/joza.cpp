@@ -9,6 +9,16 @@
 
 namespace joza::core {
 
+namespace {
+
+bool HasComment(const std::vector<sql::Token>& tokens) {
+  return std::any_of(tokens.begin(), tokens.end(), [](const sql::Token& t) {
+    return t.Is(sql::TokenKind::kComment);
+  });
+}
+
+}  // namespace
+
 const char* DetectedByName(DetectedBy d) {
   switch (d) {
     case DetectedBy::kNone: return "none";
@@ -232,30 +242,48 @@ StatusOr<pti::PtiResult> Joza::RunPti(AnalysisContext& ctx) {
   return pti::AnalyzeUnits(*ctx.snapshot->pti, ctx.query, ctx.pti_units);
 }
 
+RequestScope Joza::BeginRequest(const http::Request& request) {
+  return RequestScope(*this, request);
+}
+
 Verdict Joza::Check(std::string_view query,
                     const std::vector<http::Input>& inputs,
                     util::Deadline deadline) {
-  return CheckViews(query, http::ViewsOf(inputs), deadline);
+  const std::vector<http::InputView> views = http::ViewsOf(inputs);
+  return RequestScope(*this, std::span<const http::InputView>(views))
+      .Check(query, deadline);
 }
 
 Verdict Joza::CheckRequest(std::string_view query,
                            const http::Request& request,
                            util::Deadline deadline) {
-  return CheckViews(query, request.InputViews(), deadline);
+  return BeginRequest(request).Check(query, deadline);
 }
 
-Verdict Joza::CheckViews(std::string_view query,
-                         const std::vector<http::InputView>& inputs,
-                         util::Deadline deadline) {
-  // Single-pass pipeline: pin the snapshot (one atomic load — the only
-  // synchronization on this path), then thread the shared working set
-  // through caches, PTI and NTI. The query is lexed on first need: a
-  // query-cache hit whose inputs NTI does not mark never lexes.
+Verdict RequestScope::Check(std::string_view query, util::Deadline deadline) {
+  return engine_->CheckPinned(*snapshot_, nti_ ? &*nti_ : nullptr, query,
+                              deadline);
+}
+
+webapp::QueryGate RequestScope::MakeGate() {
+  // The application hands the gate the request this scope was begun with;
+  // its inputs are already prepared here.
+  return [this](std::string_view sql, const http::Request&) {
+    return engine_->Decide(Check(sql));
+  };
+}
+
+Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
+                          nti::PreparedInputs* nti, std::string_view query,
+                          util::Deadline deadline) {
+  // Single-pass pipeline over the scope's pinned snapshot: thread the
+  // shared working set through caches, PTI and NTI. The query is lexed on
+  // first need: a query-cache hit whose inputs NTI does not mark never
+  // lexes.
   AnalysisContext ctx;
   ctx.query = query;
-  ctx.snapshot = state_->snapshot.Load();
+  ctx.snapshot = &snap;
   ctx.deadline = deadline;
-  const RulesetSnapshot& snap = *ctx.snapshot;
 
   state_->stats.queries_checked.fetch_add(1, std::memory_order_relaxed);
   Verdict verdict;
@@ -274,9 +302,13 @@ Verdict Joza::CheckViews(std::string_view query,
       resolved = true;  // safe
     }
 
+    // The shape hash cannot see comments (the parser skips them), so a
+    // comment could truncate a query onto a cached safe shape, while PTI
+    // counts every comment as a critical token: a query carrying one
+    // neither looks up nor enters the structure cache.
     std::uint64_t shash = 0;
     bool have_shash = false;
-    if (!resolved && config_.structure_cache) {
+    if (!resolved && config_.structure_cache && !HasComment(ctx.Tokens())) {
       auto parsed = sql::StructureHashOf(query, ctx.Tokens());
       if (parsed.ok()) {
         shash = HashCombine(parsed.value(), snap.version);
@@ -303,16 +335,7 @@ Verdict Joza::CheckViews(std::string_view query,
         pti_safe = !verdict.pti.attack_detected;
         if (pti_safe) {
           if (config_.query_cache) state_->query_cache.Insert(qhash);
-          if (config_.structure_cache) {
-            if (!have_shash) {
-              auto parsed = sql::StructureHashOf(query, ctx.Tokens());
-              if (parsed.ok()) {
-                shash = HashCombine(parsed.value(), snap.version);
-                have_shash = true;
-              }
-            }
-            if (have_shash) state_->structure_cache.Insert(shash);
-          }
+          if (have_shash) state_->structure_cache.Insert(shash);
         }
       } else {
         // No PTI verdict: degraded-mode policy decides. Never cache —
@@ -335,9 +358,9 @@ Verdict Joza::CheckViews(std::string_view query,
 
   // --- NTI (never cached: depends on this request's inputs) ---------------
   bool nti_safe = true;
-  if (config_.enable_nti) {
+  if (nti != nullptr) {
     state_->stats.nti_runs.fetch_add(1, std::memory_order_relaxed);
-    verdict.nti = nti::NtiAnalyzer(snap.nti).Mark(query, inputs);
+    verdict.nti = nti->Mark(query);
     // Only the whole-token rule reads tokens, and with no marking it has
     // nothing to decide.
     if (!verdict.nti.markings.empty()) {
@@ -449,28 +472,31 @@ webapp::QueryGate Joza::MakeGate() {
   return [this](std::string_view sql, const http::Request& request) {
     // Zero-copy interception: the stored request's inputs are analyzed as
     // borrowed views, never materialized through AllInputs().
-    Verdict v = CheckRequest(sql, request);
-    webapp::GateDecision decision;
-    if (!v.attack) {
-      decision.action = webapp::GateDecision::Action::kAllow;
-      return decision;
-    }
-    if (v.detected_by == DetectedBy::kNone) {
-      // Degraded fail-closed block, not a detection: always virtualize the
-      // error — the app sees a failed query and renders its own error page,
-      // so an analyzer outage looks like a database hiccup, never a
-      // site-wide hard 500 (and never an open door).
-      decision.reason = "PTI unavailable: degraded fail-closed";
-      decision.action = webapp::GateDecision::Action::kBlockError;
-      return decision;
-    }
-    decision.reason = std::string("SQL injection detected by ") +
-                      DetectedByName(v.detected_by);
-    decision.action = config_.recovery == RecoveryPolicy::kTerminate
-                          ? webapp::GateDecision::Action::kBlockTerminate
-                          : webapp::GateDecision::Action::kBlockError;
-    return decision;
+    return Decide(CheckRequest(sql, request));
   };
+}
+
+webapp::GateDecision Joza::Decide(const Verdict& verdict) const {
+  webapp::GateDecision decision;
+  if (!verdict.attack) {
+    decision.action = webapp::GateDecision::Action::kAllow;
+    return decision;
+  }
+  if (verdict.detected_by == DetectedBy::kNone) {
+    // Degraded fail-closed block, not a detection: always virtualize the
+    // error — the app sees a failed query and renders its own error page,
+    // so an analyzer outage looks like a database hiccup, never a
+    // site-wide hard 500 (and never an open door).
+    decision.reason = "PTI unavailable: degraded fail-closed";
+    decision.action = webapp::GateDecision::Action::kBlockError;
+    return decision;
+  }
+  decision.reason = std::string("SQL injection detected by ") +
+                    DetectedByName(verdict.detected_by);
+  decision.action = config_.recovery == RecoveryPolicy::kTerminate
+                        ? webapp::GateDecision::Action::kBlockTerminate
+                        : webapp::GateDecision::Action::kBlockError;
+  return decision;
 }
 
 }  // namespace joza::core

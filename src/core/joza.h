@@ -4,20 +4,29 @@
 // is safe iff both deem it safe. Two caches accelerate PTI: the query
 // cache (exact texts proven safe by PTI or by a structure hit) and the
 // structure cache (AST shape with data nodes blanked — safe because
-// injected SQL always alters the shape). NTI is never cached: its verdict
+// injected SQL always alters the shape; a query carrying a comment, which
+// the shape cannot see, never uses it). NTI is never cached: its verdict
 // depends on the request's inputs. A check lexes the query at most once,
 // and only when a cache miss or an NTI marking needs tokens.
 //
-// Thread safety: Check(), MakeGate()'s gate, stats() and OnSourcesChanged()
-// may be called concurrently from any number of threads (the gateway shares
-// one engine across its whole worker pool). The analyze path is lock-free:
-// every check pins the current immutable RulesetSnapshot with one atomic
-// load and runs entirely against it; OnSourcesChanged builds a successor
-// snapshot off to the side and publishes it RCU-style, so updates never
-// quiesce readers. The caches are sharded with striped locks, and stats
-// counters are atomic. The setters (SetPtiBackend, SetAttackSink) and
-// ResetStats are setup-time operations: call them before concurrent
-// checking starts.
+// Requests: BeginRequest opens a RequestScope, which pins one ruleset
+// snapshot and prepares the request's inputs for NTI once (Section IV-D's
+// interceptor records a request's inputs once); every query of that
+// request is then checked through the scope. Check() and CheckRequest()
+// are one-check scopes over the same code.
+//
+// Thread safety: Check(), CheckRequest(), BeginRequest(), MakeGate()'s
+// gate, stats() and OnSourcesChanged() may be called concurrently from any
+// number of threads (the gateway shares one engine across its whole worker
+// pool). A RequestScope belongs to one request and is used from one thread
+// at a time. The analyze path is lock-free: a scope pins the current
+// immutable RulesetSnapshot with one atomic load and runs entirely against
+// it; OnSourcesChanged builds a successor snapshot off to the side and
+// publishes it RCU-style, so updates never quiesce readers — a request
+// already under way finishes on the snapshot it pinned. The caches are
+// sharded with striped locks, and stats counters are atomic. The setters
+// (SetPtiBackend, SetAttackSink) and ResetStats are setup-time operations:
+// call them before concurrent checking starts.
 #pragma once
 
 #include <atomic>
@@ -35,6 +44,7 @@
 #include "resilience/circuit_breaker.h"
 #include "http/request.h"
 #include "nti/nti.h"
+#include "nti/pipeline.h"
 #include "phpsrc/fragments.h"
 #include "pti/ruleset.h"
 #include "sqlparse/critical.h"
@@ -139,8 +149,8 @@ struct JozaStats {
   std::size_t nti_runs = 0;
   // NTI matcher-pipeline roll-up (sums of the per-check NtiResult
   // counters): inputs resolved by the exact stage, candidates that reached
-  // the kernel after q-gram seeding, full Sellers verifications, and the
-  // tier histogram of which matching tier decided each considered input.
+  // the kernel past the bigram block filter, full Sellers verifications,
+  // and the tier histogram of which path decided each considered input.
   std::size_t nti_exact_hits = 0;
   std::size_t nti_seed_candidates = 0;
   std::size_t nti_dp_runs = 0;
@@ -217,6 +227,8 @@ using PtiFn = std::function<StatusOr<pti::PtiResult>(
     std::string_view query, const std::vector<sql::Token>& tokens,
     util::Deadline deadline)>;
 
+class RequestScope;
+
 class Joza {
  public:
   Joza(php::FragmentSet fragments, JozaConfig config = {});
@@ -258,8 +270,14 @@ class Joza {
   const resilience::CircuitBreaker& breaker() const { return state_->breaker; }
   resilience::CircuitBreaker& breaker() { return state_->breaker; }
 
-  // Checks one query against the stored request inputs. The default
-  // deadline is the ambient per-request deadline installed by
+  // Opens one request's scope: pins the current ruleset snapshot and
+  // prepares the request's inputs for NTI, once. Every query the request
+  // issues is then checked through the scope (see RequestScope). The
+  // request and this engine must outlive the scope.
+  RequestScope BeginRequest(const http::Request& request);
+
+  // Checks one query against the stored request inputs: a one-check scope.
+  // The default deadline is the ambient per-request deadline installed by
   // util::ScopedRequestDeadline (infinite when none is active); it bounds
   // the external PTI backend call. No input is copied: the analysis reads
   // borrowed views of the caller's vector.
@@ -267,15 +285,16 @@ class Joza {
       std::string_view query, const std::vector<http::Input>& inputs,
       util::Deadline deadline = util::ScopedRequestDeadline::current());
 
-  // Zero-copy entry over a whole stored request (the gate's hot path):
-  // enumerates the request's inputs as views, never materializing the
-  // AllInputs() copy vector.
+  // Zero-copy entry over a whole stored request: a one-check scope,
+  // BeginRequest(request).Check(query, deadline).
   Verdict CheckRequest(
       std::string_view query, const http::Request& request,
       util::Deadline deadline = util::ScopedRequestDeadline::current());
 
   // Binds this engine as an application interception gate applying the
-  // configured recovery policy. The Joza object must outlive the gate.
+  // configured recovery policy; every gated query is a one-check scope.
+  // The Joza object must outlive the gate. A server that sees request
+  // boundaries installs RequestScope::MakeGate() per request instead.
   webapp::QueryGate MakeGate();
 
   // Preprocessing hook (Section IV-B): folds newly discovered sources into
@@ -290,7 +309,7 @@ class Joza {
   // for NTI) is computed at most once and shared by all layers.
   struct AnalysisContext {
     std::string_view query;
-    std::shared_ptr<const RulesetSnapshot> snapshot;
+    const RulesetSnapshot* snapshot = nullptr;
     util::Deadline deadline;
     // The lex of `query`, run on first call and reused after.
     const std::vector<sql::Token>& Tokens();
@@ -356,12 +375,16 @@ class Joza {
     resilience::CircuitBreaker breaker;
   };
 
+  friend class RequestScope;
+
   StatusOr<pti::PtiResult> RunPti(AnalysisContext& ctx);
-  // The single-pass pipeline shared by both public entries; `inputs` are
-  // borrowed views that must stay valid for the duration of the call.
-  Verdict CheckViews(std::string_view query,
-                     const std::vector<http::InputView>& inputs,
-                     util::Deadline deadline);
+  // The single-pass pipeline behind every entry: one query against a
+  // pinned snapshot and the request's prepared NTI inputs (null with NTI
+  // off).
+  Verdict CheckPinned(const RulesetSnapshot& snap, nti::PreparedInputs* nti,
+                      std::string_view query, util::Deadline deadline);
+  // The gate's answer to a verdict, per the configured recovery policy.
+  webapp::GateDecision Decide(const Verdict& verdict) const;
   void EmitAttackReport(const Verdict& verdict, std::string_view query,
                         std::size_t sequence);
 
@@ -371,6 +394,45 @@ class Joza {
   AttackSink attack_sink_;
   SnapshotSink snapshot_sink_;
   std::unique_ptr<SharedState> state_;
+};
+
+// One HTTP request's view of the engine, from Joza::BeginRequest. It holds
+// the ruleset snapshot pinned when the request began and the request's
+// inputs as borrowed views, prepared for NTI once; every Check runs the
+// engine's full pipeline (caches, PTI, degraded mode, NTI) against both.
+// An OnSourcesChanged while the request is under way reaches the next
+// request, never the rest of this one. One request, one thread: a scope
+// is not safe to use from two threads at once.
+class RequestScope {
+ public:
+  // Pinned, like its NTI preparation: BeginRequest hands it out by
+  // guaranteed copy elision.
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+
+  Verdict Check(
+      std::string_view query,
+      util::Deadline deadline = util::ScopedRequestDeadline::current());
+
+  // An interception gate answering for this scope's request; the scope
+  // must outlive the gate.
+  webapp::QueryGate MakeGate();
+
+  std::uint64_t ruleset_version() const { return snapshot_->version; }
+
+ private:
+  friend class Joza;
+  // `inputs` is a request or a span of input views; with NTI off there is
+  // nothing to prepare.
+  template <typename Inputs>
+  RequestScope(Joza& engine, const Inputs& inputs)
+      : engine_(&engine), snapshot_(engine.state_->snapshot.Load()) {
+    if (engine.config_.enable_nti) nti_.emplace(snapshot_->nti, inputs);
+  }
+
+  Joza* engine_;
+  std::shared_ptr<const RulesetSnapshot> snapshot_;
+  std::optional<nti::PreparedInputs> nti_;
 };
 
 }  // namespace joza::core

@@ -10,12 +10,13 @@
 //
 // Hand-off: a framed request goes to the handler pool's queue. A handler
 // runs the deadline shed, tenant routing and the app on its private
-// Application, renders the response, and returns the bytes to the
-// request's shard through the shard's eventfd. A connection has at most one
-// request at the handlers and its shard leaves the socket unread meanwhile,
-// so pipelined requests wait on their connection and responses leave in
-// request order. A blocked PTI call therefore holds one handler and one
-// connection, never a shard.
+// Application (gated through the request's engine scope), renders the
+// response, and returns the bytes to the request's shard through the
+// shard's eventfd. A connection has at most one request at the handlers
+// and its shard leaves the socket unread meanwhile, so pipelined requests
+// wait on their connection and responses leave in request order. A
+// blocked PTI call therefore holds one handler and one connection, never a
+// shard.
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -243,7 +244,6 @@ void HandlerPool::Run() {
   // One private application per handler: routes and the in-memory db are
   // single-threaded; only the Joza engine is shared.
   std::unique_ptr<webapp::Application> app = shared_.factory();
-  if (shared_.joza != nullptr) app->SetQueryGate(shared_.joza->MakeGate());
   for (;;) {
     Job job;
     {
@@ -256,7 +256,6 @@ void HandlerPool::Run() {
     job.shard->Picked();
     job.shard->Complete(Serve(*app, job));
   }
-  app->SetQueryGate(nullptr);
 }
 
 Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
@@ -317,11 +316,16 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
     if (config().request_deadline.count() > 0) {
       request_deadline = util::Deadline::After(config().request_deadline);
     }
-    util::ScopedRequestDeadline scope(request_deadline);
-    if (shared_.fleet != nullptr) {
-      // The pin keeps the tenant's engine alive across a concurrent
-      // demotion; the gate is swapped out again before the pin drops.
-      app.SetQueryGate(pin.value()->MakeGate());
+    util::ScopedRequestDeadline deadline_scope(request_deadline);
+    // The fleet pin keeps the tenant's engine alive across a concurrent
+    // demotion. Every query of the request goes through one scope: one
+    // snapshot pin and one preparation of the request's inputs. The gate
+    // is swapped out again before the scope and the pin drop.
+    core::Joza* engine =
+        shared_.fleet != nullptr ? pin.value().get() : shared_.joza;
+    if (engine != nullptr) {
+      core::RequestScope request_scope = engine->BeginRequest(parsed.value());
+      app.SetQueryGate(request_scope.MakeGate());
       response = app.Handle(parsed.value());
       app.SetQueryGate(nullptr);
     } else {

@@ -11,8 +11,9 @@
 //   * A pool of `workers` handler threads does the work. Every framed
 //     request is handed to it; each handler owns a private
 //     webapp::Application, runs the deadline shed, tenant routing and the
-//     app, and renders the response, which its shard then writes. A slow
-//     analysis therefore delays only its own request, never a shard.
+//     app — through a gate bound to the request's engine scope — and
+//     renders the response, which its shard then writes. A slow analysis
+//     therefore delays only its own request, never a shard.
 //
 // All handlers share ONE core::Joza engine — its sharded caches and atomic
 // stats make Check() safe and cheap under concurrency, and shared caches
@@ -120,9 +121,9 @@ class EpollServer;
 class GatewayServer {
  public:
   // `joza` may be null (serve unprotected, for baselines); when set, every
-  // handler installs joza->MakeGate() on its Application and the engine
-  // must outlive the server. The factory must be callable from handler
-  // threads.
+  // request is served through a gate bound to that request's scope
+  // (joza->BeginRequest) and the engine must outlive the server. The
+  // factory must be callable from handler threads.
   GatewayServer(AppFactory factory, core::Joza* joza,
                 GatewayConfig config = {});
 

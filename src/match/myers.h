@@ -11,7 +11,9 @@
 // staged pipeline stays verdict-identical to the reference tier.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace joza::match {
@@ -22,13 +24,31 @@ inline constexpr std::size_t kMyersMaxPattern = 64;
 
 // Eligibility policy for the bit-parallel tier: 1..64 bytes, plain ASCII.
 // (The kernel itself is byte-clean; the ASCII restriction keeps the staged
-// tier conservative on multi-byte encodings, whose q-gram statistics the
-// seeding stage was not tuned for.)
+// tier conservative on multi-byte encodings, whose bigram statistics the
+// block filter was not tuned for.)
 bool MyersEligible(std::string_view input);
 
-// Minimum edit distance between `input` and any substring of `query` —
-// exactly min_j of Sellers' final DP row (including the empty substring,
-// distance |input|). Requires MyersEligible(input); |query| unbounded.
-std::size_t MyersMinDistance(std::string_view query, std::string_view input);
+// One pattern's match table (1 KiB), built once for any number of texts.
+class MyersPattern {
+ public:
+  // Requires MyersEligible(pattern).
+  explicit MyersPattern(std::string_view pattern);
+
+  // Minimum edit distance between the pattern and any substring of
+  // `text` — exactly min_j of Sellers' final DP row (including the empty
+  // substring, distance |pattern|). |text| is unbounded.
+  std::size_t MinDistance(std::string_view text) const;
+
+  // MinDistance(text) <= k, decided as soon as the answer is known: at the
+  // first cell within k, or once the cells left cannot fall that far
+  // (adjacent cells of a DP row differ by at most one).
+  bool Within(std::string_view text, std::size_t k) const;
+
+ private:
+  // peq_[c]: bit i set iff pattern[i] == c. An eligible pattern is ASCII,
+  // so a text byte >= 0x80 simply matches nothing.
+  std::array<std::uint64_t, 128> peq_{};
+  std::size_t length_;
+};
 
 }  // namespace joza::match

@@ -9,7 +9,6 @@ namespace joza::nti {
 const char* MatchTierName(MatchTier tier) {
   switch (tier) {
     case MatchTier::kReference: return "reference";
-    case MatchTier::kBounded: return "bounded";
     case MatchTier::kStaged: return "staged";
   }
   return "?";
@@ -36,46 +35,8 @@ NtiResult NtiAnalyzer::AnalyzeCritical(
 NtiResult NtiAnalyzer::AnalyzeCritical(
     std::string_view query, const std::vector<sql::Token>& critical,
     const std::vector<http::InputView>& inputs) const {
-  NtiResult result = Mark(query, inputs);
+  NtiResult result = PreparedInputs(config_, inputs).Mark(query);
   ApplyWholeTokenRule(critical, result);
-  return result;
-}
-
-NtiResult NtiAnalyzer::Mark(std::string_view query,
-                            const std::vector<http::InputView>& inputs) const {
-  NtiResult result;
-
-  // Plausibility pruning (identical across tiers): inputs too short to
-  // mark safely, or too long to fit any query substring within the
-  // threshold, are skipped outright.
-  std::vector<std::size_t> eligible;
-  eligible.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i].value.size() < config_.min_input_length ||
-        static_cast<double>(inputs[i].value.size()) >
-            static_cast<double>(query.size()) * (1.0 + config_.threshold)) {
-      ++result.inputs_skipped;
-      continue;
-    }
-    eligible.push_back(i);
-  }
-  result.inputs_considered = eligible.size();
-  if (eligible.empty()) return result;
-
-  const MatcherPipeline pipeline(query, config_, inputs, eligible);
-  for (std::size_t index : eligible) {
-    const match::SubstringMatch best = pipeline.Match(index, result);
-    if (best.span.empty() || best.ratio > config_.threshold) continue;
-
-    const http::InputView& input = inputs[index];
-    TaintMarking marking;
-    marking.span = best.span;
-    marking.input_name = std::string(input.name);
-    marking.input_kind = input.kind;
-    marking.ratio = best.ratio;
-    marking.distance = best.distance;
-    result.markings.push_back(std::move(marking));
-  }
   return result;
 }
 

@@ -18,21 +18,20 @@
 
 namespace joza::nti {
 
-// How the per-input approximate match is computed. Every tier is
+// How the per-input approximate match is computed. Both tiers are
 // verdict-identical — same attack bit, same tainted tokens, same marking
-// spans — enforced by the differential suite; they differ only in cost.
+// spans — enforced by the differential suites; they differ only in cost.
 enum class MatchTier {
   // One full unbounded Sellers DP per input: O(|input|·|query|) each. The
-  // parity baseline every other tier is checked against.
+  // oracle every optimization is checked against.
   kReference = 0,
-  // Exact-occurrence fast path (find) + threshold-bounded Sellers with
-  // per-row pruning. The pre-staged production path.
-  kBounded = 1,
-  // Staged engine: a per-input exact find, q-gram candidate seeding,
-  // bit-parallel Myers reject kernel, and a bounded Sellers verification
-  // only for surviving candidates. Inputs the
-  // kernel cannot take (>64 bytes, non-ASCII) fall back to kBounded.
-  kStaged = 2,
+  // Staged engine, prepared once per request (see nti/pipeline.h): a
+  // bigram block filter, an exact find only where the filter allows one,
+  // the bit-parallel Myers reject kernel over the filter's window, and a
+  // bounded Sellers verification only for surviving candidates. Inputs
+  // the kernel cannot take (>64 bytes, non-ASCII) and a threshold of 1
+  // fall back to find + bounded Sellers.
+  kStaged = 1,
 };
 
 const char* MatchTierName(MatchTier tier);
@@ -51,12 +50,6 @@ struct NtiConfig {
   // Matching tier policy (see MatchTier). The default staged engine is an
   // optimization, never a policy change.
   MatchTier tier = MatchTier::kStaged;
-
-  // kBounded knobs (kept for the ablation benches): prune the Sellers DP
-  // as soon as no substring can match within the threshold, and try an
-  // exact-substring fast path (std::string::find) before the DP.
-  bool bounded_search = true;
-  bool exact_fast_path = true;
 
   // Strict Ray-Ligatti-style policy (Section II): identifiers are critical
   // too, so user-supplied field/table names are treated as attacks. Breaks
@@ -83,12 +76,12 @@ struct NtiResult {
   std::size_t inputs_considered = 0;
   std::size_t inputs_skipped = 0;
   std::size_t exact_hits = 0;       // resolved by an exact occurrence
-  std::size_t seed_rejects = 0;     // q-gram counting proved no match
-  std::size_t seed_candidates = 0;  // survived seeding into the kernel
+  std::size_t seed_rejects = 0;     // bigram block counting proved no match
+  std::size_t seed_candidates = 0;  // survived the filter into the kernel
   std::size_t kernel_rejects = 0;   // Myers bound proved no match
   std::size_t dp_runs = 0;          // full Sellers verifications
-  // Tier histogram: which tier actually decided each considered input
-  // (staged inputs that fall back are counted under kBounded).
+  // Tier histogram: which path decided each considered input (staged-tier
+  // inputs that take the find + bounded Sellers fallback count as bounded).
   std::size_t tier_reference = 0;
   std::size_t tier_bounded = 0;
   std::size_t tier_staged = 0;
@@ -111,11 +104,13 @@ class NtiAnalyzer {
   NtiResult Analyze(std::string_view query,
                     const std::vector<http::Input>& inputs) const;
 
-  // The single-pass hot path: `critical` must be
+  // The single-pass entry: `critical` must be
   // sql::CriticalTokens(tokens, config().strict_tokens) for the lex of
-  // `query` — computed once per request and shared, never re-derived here.
-  // The view overload is the zero-copy entry: the views borrow from the
-  // stored request and are only read during the call.
+  // `query` — computed once and shared, never re-derived here. The view
+  // overload is the zero-copy entry: the views borrow from the stored
+  // request and are only read during the call. Each call is a one-check
+  // request: it prepares the inputs (nti::PreparedInputs) for this query
+  // alone. Thread-safe.
   NtiResult AnalyzeCritical(std::string_view query,
                             const std::vector<sql::Token>& critical,
                             const std::vector<http::InputView>& inputs) const;
@@ -126,13 +121,10 @@ class NtiAnalyzer {
                             const std::vector<sql::Token>& critical,
                             const std::vector<http::Input>& inputs) const;
 
-  // The two halves of AnalyzeCritical. Mark matches every eligible input
-  // against the query and fills the markings and pipeline counters; it
-  // never reads a token. ApplyWholeTokenRule then decides the attack bit
-  // and the evidence from `critical`. A result with no markings is final
-  // after Mark, so a caller may skip lexing the query for it.
-  NtiResult Mark(std::string_view query,
-                 const std::vector<http::InputView>& inputs) const;
+  // The second half of AnalyzeCritical, after marking (PreparedInputs::
+  // Mark): decides the attack bit and the evidence from `critical`. A
+  // result with no markings has nothing to decide, so a caller may skip
+  // lexing the query for it.
   static void ApplyWholeTokenRule(const std::vector<sql::Token>& critical,
                                   NtiResult& result);
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "match/myers.h"
-
 namespace joza::nti {
 
 namespace {
@@ -29,98 +27,147 @@ match::SubstringMatch ExactMatch(std::size_t pos, std::size_t length) {
 
 }  // namespace
 
-MatcherPipeline::MatcherPipeline(std::string_view query,
-                                 const NtiConfig& config,
-                                 const std::vector<http::InputView>& inputs,
-                                 const std::vector<std::size_t>& eligible)
-    : query_(query), config_(config), inputs_(inputs) {
-  if (config_.tier != MatchTier::kStaged || eligible.empty()) return;
-
-  // Stage 1 (exact): each input's earliest exact occurrence — the same
-  // span the reference DP's tie-breaking reports for a distance-0 match.
-  exact_pos_.assign(inputs_.size(), kNpos);
-  bool any_unresolved = false;
-  for (std::size_t index : eligible) {
-    exact_pos_[index] = query_.find(inputs_[index].value);
-    if (exact_pos_[index] == kNpos) any_unresolved = true;
-  }
-
-  // Stage 2 precomputation (seeding): the q-gram index is shared by every
-  // input that was not resolved exactly. Skip it when none needs it.
-  if (any_unresolved) qgrams_.emplace(query_);
+PreparedInputs::PreparedInputs(const NtiConfig& config,
+                               const http::Request& request)
+    : config_(config) {
+  inputs_.reserve(request.get_params.size() + request.post_params.size() +
+                  request.cookies.size() + request.headers.size());
+  request.ForEachInput([this](const http::InputView& input) {
+    inputs_.emplace_back().input = input;
+  });
+  IndexStagedInputs();
 }
 
-std::size_t MatcherPipeline::ThresholdBound(std::size_t input_length) const {
+PreparedInputs::PreparedInputs(const NtiConfig& config,
+                               std::span<const http::InputView> inputs)
+    : config_(config) {
+  inputs_.reserve(inputs.size());
+  for (const http::InputView& input : inputs) {
+    inputs_.emplace_back().input = input;
+  }
+  IndexStagedInputs();
+}
+
+void PreparedInputs::IndexStagedInputs() {
+  if (config_.tier != MatchTier::kStaged || config_.threshold >= 1.0) return;
+  // Every input the staged path takes: 1..64 ASCII bytes, and long enough
+  // to be considered at all. Marked and counted first, so the filter is
+  // sized once: a one-check scope builds it for a single query.
+  std::size_t staged = 0;
+  std::size_t grams = 0;
+  for (Prepared& prep : inputs_) {
+    const std::string_view value = prep.input.value;
+    if (value.size() < config_.min_input_length ||
+        !match::MyersEligible(value)) {
+      continue;
+    }
+    prep.filter_index = 0;
+    ++staged;
+    grams += value.size() - 1;
+  }
+  filter_.Reserve(staged, grams);
+  for (Prepared& prep : inputs_) {
+    if (prep.filter_index < 0) continue;
+    prep.bound = ThresholdBound(prep.input.value.size());
+    prep.filter_index =
+        static_cast<int>(filter_.Add(prep.input.value, prep.bound));
+  }
+}
+
+std::size_t PreparedInputs::ThresholdBound(std::size_t input_length) const {
   return static_cast<std::size_t>(
       std::ceil(config_.threshold * static_cast<double>(input_length) /
                 (1.0 - config_.threshold)));
 }
 
-match::SubstringMatch MatcherPipeline::Match(std::size_t index,
-                                             NtiResult& stats) const {
-  switch (config_.tier) {
-    case MatchTier::kReference:
-      ++stats.tier_reference;
-      return MatchReference(inputs_[index].value, stats);
-    case MatchTier::kBounded:
-      ++stats.tier_bounded;
-      return MatchBounded(inputs_[index].value, stats);
-    case MatchTier::kStaged: {
-      const std::string_view value = inputs_[index].value;
-      // Kernel eligibility and a well-defined bound gate the staged path;
-      // everything else takes the existing Sellers tier.
-      if (!match::MyersEligible(value) || config_.threshold >= 1.0) {
-        ++stats.tier_bounded;
-        return MatchBounded(value, stats);
-      }
-      ++stats.tier_staged;
-      return MatchStaged(index, stats);
+NtiResult PreparedInputs::Mark(std::string_view query) {
+  NtiResult result;
+  bool scanned = false;
+  for (const Prepared& prep : inputs_) {
+    const http::InputView& input = prep.input;
+    // Plausibility pruning (identical across tiers): inputs too short to
+    // mark safely, or too long to fit any query substring within the
+    // threshold, are skipped outright.
+    if (input.value.size() < config_.min_input_length ||
+        static_cast<double>(input.value.size()) >
+            static_cast<double>(query.size()) * (1.0 + config_.threshold)) {
+      ++result.inputs_skipped;
+      continue;
     }
+    ++result.inputs_considered;
+
+    match::SubstringMatch best;
+    if (config_.tier == MatchTier::kReference) {
+      ++result.tier_reference;
+      ++result.dp_runs;
+      best = match::BestSubstringMatch(query, input.value);
+    } else if (prep.filter_index < 0) {
+      ++result.tier_bounded;
+      best = MatchFallback(query, input.value, result);
+    } else {
+      ++result.tier_staged;
+      // One pass over the query's bigrams serves every staged input.
+      if (!scanned) {
+        filter_.Scan(query);
+        scanned = true;
+      }
+      best = MatchStaged(query, prep, result);
+    }
+    if (best.span.empty() || best.ratio > config_.threshold) continue;
+
+    TaintMarking marking;
+    marking.span = best.span;
+    marking.input_name = std::string(input.name);
+    marking.input_kind = input.kind;
+    marking.ratio = best.ratio;
+    marking.distance = best.distance;
+    result.markings.push_back(std::move(marking));
   }
-  ++stats.tier_reference;
-  return MatchReference(inputs_[index].value, stats);
+  return result;
 }
 
-match::SubstringMatch MatcherPipeline::MatchReference(std::string_view value,
-                                                      NtiResult& stats) const {
-  ++stats.dp_runs;
-  return match::BestSubstringMatch(query_, value);
-}
-
-match::SubstringMatch MatcherPipeline::MatchBounded(std::string_view value,
+match::SubstringMatch PreparedInputs::MatchFallback(std::string_view query,
+                                                    std::string_view value,
                                                     NtiResult& stats) const {
-  if (config_.exact_fast_path) {
-    const std::size_t pos = query_.find(value);
+  const std::size_t pos = query.find(value);
+  if (pos != kNpos) {
+    ++stats.exact_hits;
+    return ExactMatch(pos, value.size());
+  }
+  ++stats.dp_runs;
+  if (config_.threshold < 1.0) {
+    return match::BestSubstringMatchBounded(query, value,
+                                            ThresholdBound(value.size()));
+  }
+  return match::BestSubstringMatch(query, value);
+}
+
+match::SubstringMatch PreparedInputs::MatchStaged(std::string_view query,
+                                                  const Prepared& prep,
+                                                  NtiResult& stats) const {
+  const std::string_view value = prep.input.value;
+  const auto p = static_cast<std::size_t>(prep.filter_index);
+  // An exact occurrence puts all of the input's bigram positions in one
+  // block pair; the earliest one is the span the reference DP's
+  // tie-breaking reports for a distance-0 match.
+  if (filter_.MayContain(p)) {
+    const std::size_t pos = query.find(value);
     if (pos != kNpos) {
       ++stats.exact_hits;
       return ExactMatch(pos, value.size());
     }
   }
-  ++stats.dp_runs;
-  if (config_.bounded_search && config_.threshold < 1.0) {
-    return match::BestSubstringMatchBounded(query_, value,
-                                            ThresholdBound(value.size()));
-  }
-  return match::BestSubstringMatch(query_, value);
-}
-
-match::SubstringMatch MatcherPipeline::MatchStaged(std::size_t index,
-                                                   NtiResult& stats) const {
-  const std::string_view value = inputs_[index].value;
-  if (exact_pos_[index] != kNpos) {
-    ++stats.exact_hits;
-    return ExactMatch(exact_pos_[index], value.size());
-  }
-  const std::size_t bound = ThresholdBound(value.size());
   // No exact occurrence and only distance-0 matches can pass the ratio
   // threshold: nothing to find.
-  if (bound == 0) return NoMatch(bound);
-  if (qgrams_ && qgrams_->Rejects(value, bound)) {
+  if (prep.bound == 0) return NoMatch(prep.bound);
+  if (!filter_.MayMatch(p)) {
     ++stats.seed_rejects;
-    return NoMatch(bound);
+    return NoMatch(prep.bound);
   }
   ++stats.seed_candidates;
-  if (match::MyersMinDistance(query_, value) > bound) {
+  const match::MyersPattern kernel(value);
+  const std::size_t bound = prep.bound;
+  if (!kernel.Within(filter_.Window(p, query), bound)) {
     ++stats.kernel_rejects;
     return NoMatch(bound);
   }
@@ -128,7 +175,7 @@ match::SubstringMatch MatcherPipeline::MatchStaged(std::size_t index,
   // span and tie-breaking. The bound can never prune it away (row minima
   // are monotone, and the best final distance is <= bound).
   ++stats.dp_runs;
-  return match::BestSubstringMatchBounded(query_, value, bound);
+  return match::BestSubstringMatchBounded(query, value, bound);
 }
 
 }  // namespace joza::nti

@@ -1,63 +1,83 @@
-// Staged NTI matching engine (one instance per analyzed query).
+// Staged NTI matching, prepared once per request.
 //
-// Mirrors the pti::Ruleset design: all per-query precomputation — each
-// input's exact occurrence and the query's q-gram index — is hoisted out of
-// the per-input loop, and each input then descends through progressively
-// cheaper-to-pass / costlier-to-run stages:
+// Everything the matcher derives from a request's inputs is independent of
+// the query, and the paper's interceptor records the inputs once per
+// request (Section IV-D). So PreparedInputs derives it once: for every
+// input the bit-parallel kernel can take (1..64 bytes, ASCII), its
+// threshold bound k, its bigram positions in one request-level
+// match::BigramBlockFilter. Each query then costs one pass over its
+// bigrams, and each input descends through progressively cheaper-to-pass /
+// costlier-to-run stages:
 //
-//   exact scan  →  q-gram seeding  →  Myers reject kernel  →  Sellers DP
+//   block filter  →  exact find  →  windowed Myers kernel  →  Sellers DP
 //
-// Only candidates that survive every filter pay for the O(|input|·|query|)
-// verification, and that verification is the reference DP itself — so the
-// pipeline is verdict-identical to the reference tier by construction
-// (filters are exact rejects, accepts are re-verified).
+// The find runs only when one adjacent block pair holds all of the input's
+// bigram positions, and the kernel only over the filter's window, the
+// stretch of the query between the first and the last block pair that
+// passes the counting bound. Every filter is an exact reject and every
+// accept is re-verified by the bounded Sellers DP, the reference DP itself,
+// so markings, evidence and the exact_hits / dp_runs counters are those of
+// the reference tier. Inputs the kernel cannot take, and every input when
+// the threshold is 1, fall back to find + bounded Sellers.
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
-#include "match/qgram.h"
+#include "http/request.h"
+#include "match/bigram_filter.h"
+#include "match/myers.h"
 #include "match/substring.h"
 #include "nti/nti.h"
 
 namespace joza::nti {
 
-class MatcherPipeline {
+class PreparedInputs {
  public:
-  // `query`, `config` and `inputs` must outlive the pipeline. `eligible`
-  // holds the indices of inputs that passed the analyzer's pre-filters
-  // (min length, overlong) — the only ones Match() may be asked about.
-  // Construction runs the exact stage: one std::string::find per input.
-  MatcherPipeline(std::string_view query, const NtiConfig& config,
-                  const std::vector<http::InputView>& inputs,
-                  const std::vector<std::size_t>& eligible);
+  // Prepares every input of `request`, in NTI analysis order.
+  PreparedInputs(const NtiConfig& config, const http::Request& request);
+  // Prepares `inputs`.
+  PreparedInputs(const NtiConfig& config,
+                 std::span<const http::InputView> inputs);
+  // Either way the inputs' strings are borrowed: they must outlive this
+  // object.
+  PreparedInputs(const PreparedInputs&) = delete;
+  PreparedInputs& operator=(const PreparedInputs&) = delete;
 
-  // Best approximate match for inputs[index]. Identical distance, span and
-  // ratio to the reference tier; pipeline counters accumulate in `stats`.
-  match::SubstringMatch Match(std::size_t index, NtiResult& stats) const;
+  // Matches every eligible input against `query` and fills the markings
+  // and pipeline counters of an NtiResult; never reads a token (the attack
+  // bit is NtiAnalyzer::ApplyWholeTokenRule's). Not thread-safe: the
+  // filter's scan state is per-request scratch.
+  NtiResult Mark(std::string_view query);
 
  private:
-  match::SubstringMatch MatchReference(std::string_view value,
-                                       NtiResult& stats) const;
-  match::SubstringMatch MatchBounded(std::string_view value,
-                                     NtiResult& stats) const;
-  match::SubstringMatch MatchStaged(std::size_t index, NtiResult& stats) const;
+  struct Prepared {
+    http::InputView input;
+    // Index into the block filter; -1 for inputs the staged path cannot
+    // take (and for every input of the reference tier).
+    int filter_index = -1;
+    std::size_t bound = 0;  // the threshold bound k
+  };
+
+  // Gives each staged input its bound and filter index. Constructors only,
+  // once inputs_ holds the views.
+  void IndexStagedInputs();
+  match::SubstringMatch MatchStaged(std::string_view query,
+                                    const Prepared& prepared,
+                                    NtiResult& stats) const;
+  match::SubstringMatch MatchFallback(std::string_view query,
+                                      std::string_view value,
+                                      NtiResult& stats) const;
 
   // Tightest sound DP bound for the ratio threshold: ratio <= t and
   // span_len <= |input| + dist imply dist <= t*|input| / (1-t).
   std::size_t ThresholdBound(std::size_t input_length) const;
 
-  std::string_view query_;
-  const NtiConfig& config_;
-  const std::vector<http::InputView>& inputs_;
-  // Earliest exact occurrence of each input's value in the query (npos =
-  // none), filled by per-input find(). Staged tier only.
-  std::vector<std::size_t> exact_pos_;
-  // Query q-gram index, built only when some input survives the exact
-  // stage. Staged tier only.
-  std::optional<match::QGramIndex> qgrams_;
+  NtiConfig config_;
+  std::vector<Prepared> inputs_;  // one per input, in order
+  match::BigramBlockFilter filter_;
 };
 
 }  // namespace joza::nti

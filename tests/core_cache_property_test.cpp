@@ -99,6 +99,27 @@ TEST(StructureCacheEndToEnd, WarmCacheGrantsNoAmnesty) {
   app->SetQueryGate(nullptr);
 }
 
+// The structure-cache fail-open a comment opened: the parser skips
+// comments, so AdRotate's `admin' LIMIT 10#` truncates onto the shape one
+// benign request cached, and base64 transport hides the payload from NTI.
+// PTI counts the comment as a critical token no fragment covers.
+TEST(StructureCacheEndToEnd, CommentTruncatedAdRotateIsBlocked) {
+  auto app = attack::MakeTestbed();
+  Joza joza = Joza::Install(*app);
+  app->SetQueryGate(joza.MakeGate());
+  const attack::PluginSpec* adrotate = nullptr;
+  for (const attack::PluginSpec& p : attack::PluginCatalog()) {
+    if (p.name == "AdRotate") adrotate = &p;
+  }
+  ASSERT_NE(adrotate, nullptr);
+  EXPECT_EQ(attack::SendPayload(*app, *adrotate, "admin").status, 200);
+  EXPECT_EQ(joza.stats().attacks_detected, 0u);
+  EXPECT_EQ(attack::SendPayload(*app, *adrotate, "admin' LIMIT 10#").status,
+            500);
+  EXPECT_EQ(joza.stats().attacks_detected, 1u);
+  app->SetQueryGate(nullptr);
+}
+
 // One gated query with the inputs of the request that issued it.
 struct Check {
   std::string query;
@@ -179,6 +200,29 @@ TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
   EXPECT_GT(with_qc.stats().attacks_detected, 0u);
 }
 
+// The paper's two rules computed the slow, obvious way: the reference
+// Sellers tier, the per-fragment PTI scan, no caches, PTI in-process.
+JozaConfig PaperLiteralConfig() {
+  JozaConfig config;
+  config.nti.tier = nti::MatchTier::kReference;
+  config.pti.use_aho_corasick = false;
+  config.query_cache = false;
+  config.structure_cache = false;
+  return config;
+}
+
+// Each request round-tripped through the wire format, so the gate sees the
+// inputs a gateway hands it (cookie, Host, Connection and, on a POST,
+// Content-Type).
+std::vector<http::Request> Served(std::vector<http::Request> requests) {
+  for (http::Request& r : requests) {
+    auto served = http::ParseRawRequest(gateway::SerializeRequest(r, true));
+    EXPECT_TRUE(served.ok()) << r.path;
+    if (served.ok()) r = std::move(served).value();
+  }
+  return requests;
+}
+
 // The evidence a verdict names: PTI's untrusted and NTI's tainted critical
 // tokens, in order, each with its span in the query.
 std::vector<std::string> Evidence(const Verdict& verdict) {
@@ -198,27 +242,18 @@ std::vector<std::string> Evidence(const Verdict& verdict) {
 }
 
 // The default engine (staged NTI, automaton PTI, both caches) against the
-// paper's two rules computed the slow, obvious way: the reference Sellers
-// tier, the per-fragment PTI scan, no caches, PTI in-process. Over served
-// traffic and every attack variant the testbed knows, both must name the
-// same verdict, the same analyzer and the same evidence on every check —
-// including the second pass, which the default engine answers from warm
-// caches. A diff from the structure cache is a finding, not an allowance.
+// paper-literal one. Over served traffic, every attack variant the testbed
+// knows and comment-truncation probes, both must name the same verdict,
+// the same analyzer and the same evidence on every check — including the
+// second pass, which the default engine answers from warm caches. A diff
+// from the structure cache is a finding, not an allowance.
 TEST(ReferenceDifferential, DefaultEngineMatchesPaperLiteralRules) {
-  // Served shape: each request goes over the wire and back, so the gate
-  // sees the inputs a gateway hands it (cookie, Host, Connection and, on a
-  // POST, Content-Type).
   std::vector<http::Request> requests =
       RequestsOf(attack::MakeMixedWorkload(400, 0.1, 11));
   for (http::Request& r : RequestsOf(attack::MakeSearchWorkload(100, 13))) {
     requests.push_back(std::move(r));
   }
-  for (http::Request& r : requests) {
-    auto served = http::ParseRawRequest(gateway::SerializeRequest(r, true));
-    ASSERT_TRUE(served.ok()) << r.path;
-    r = std::move(served).value();
-  }
-  std::vector<Check> corpus = GatedChecks(requests);
+  std::vector<Check> corpus = GatedChecks(Served(std::move(requests)));
 
   auto app = attack::MakeTestbed();
   const pti::PtiAnalyzer pti(php::FragmentSet::FromSources(app->sources()));
@@ -235,14 +270,20 @@ TEST(ReferenceDifferential, DefaultEngineMatchesPaperLiteralRules) {
     if (taintless.success) exploits.push_back(taintless.exploit);
     AddProbeChecks(p, exploits, corpus);
   }
+  // Comment-truncation probes on every endpoint, each after the endpoint's
+  // benign query has cached its shape: once with the inputs that carried
+  // them, once with none (an attacker whose payload NTI cannot see).
+  for (const attack::PluginSpec& p : attack::PluginCatalog()) {
+    corpus.push_back({attack::QueryFor(p, "1"), attack::InputsFor(p, "1")});
+    for (const char* probe : {"1-- ", "1#", "1/*", "x' LIMIT 1-- "}) {
+      corpus.push_back(
+          {attack::QueryFor(p, probe), attack::InputsFor(p, probe)});
+      corpus.push_back({attack::QueryFor(p, probe), {}});
+    }
+  }
 
-  JozaConfig reference;
-  reference.nti.tier = nti::MatchTier::kReference;
-  reference.pti.use_aho_corasick = false;
-  reference.query_cache = false;
-  reference.structure_cache = false;
   Joza fast = Joza::Install(*app);
-  Joza slow = Joza::Install(*app, reference);
+  Joza slow = Joza::Install(*app, PaperLiteralConfig());
   for (int pass = 0; pass < 2; ++pass) {
     for (const Check& c : corpus) {
       const Verdict a = fast.Check(c.query, c.inputs);
@@ -255,6 +296,93 @@ TEST(ReferenceDifferential, DefaultEngineMatchesPaperLiteralRules) {
   EXPECT_GT(fast.stats().query_cache_hits, 0u);
   EXPECT_GT(fast.stats().structure_cache_hits, 0u);
   EXPECT_GT(slow.stats().attacks_detected, 0u);
+}
+
+// The NTI pipeline counters a check reports, in a comparable form.
+std::vector<std::size_t> NtiCounters(const nti::NtiResult& r) {
+  return {r.inputs_considered, r.inputs_skipped,  r.exact_hits,
+          r.seed_rejects,      r.seed_candidates, r.kernel_rejects,
+          r.dp_runs,           r.tier_reference,  r.tier_bounded,
+          r.tier_staged};
+}
+
+std::vector<std::string> MarkingsOf(const nti::NtiResult& r) {
+  std::vector<std::string> out;
+  for (const nti::TaintMarking& m : r.markings) {
+    out.push_back(m.input_name + " [" + std::to_string(m.span.begin) + "," +
+                  std::to_string(m.span.end) + ") d=" +
+                  std::to_string(m.distance));
+  }
+  return out;
+}
+
+// One request scope per served request against a one-check scope per
+// query (CheckRequest) and the paper-literal engine. Crawl and mixed
+// traffic plus one request per catalog attack, each round-tripped through
+// the wire format: the scope is prepared once and reused by every query
+// the request issues, and must answer every one of them exactly as the
+// per-query path does — same verdict, analyzer, evidence, markings and
+// NTI pipeline counters — and as the paper's rules do.
+TEST(ServedShapeDifferential, RequestScopeMatchesPerCheckAndPaperLiteral) {
+  std::vector<http::Request> requests =
+      RequestsOf(attack::MakeCrawlWorkload(200, 21));
+  for (http::Request& r :
+       RequestsOf(attack::MakeMixedWorkload(200, 0.1, 23))) {
+    requests.push_back(std::move(r));
+  }
+  for (const attack::PluginSpec& p : attack::PluginCatalog()) {
+    const std::string payload = attack::OriginalExploit(p).payload;
+    requests.push_back(http::Request::Get(
+        p.route, {{p.param, attack::InputsFor(p, payload)[0].value}}));
+  }
+  requests = Served(std::move(requests));
+
+  // The queries each request issues, captured through an allow-all gate.
+  std::vector<std::vector<std::string>> queries(requests.size());
+  {
+    auto capture = attack::MakeTestbed();
+    std::vector<std::string>* current = nullptr;
+    capture->SetQueryGate([&current](std::string_view sql,
+                                     const http::Request&) {
+      current->push_back(std::string(sql));
+      return webapp::GateDecision{};
+    });
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      current = &queries[i];
+      capture->Handle(requests[i]);
+    }
+    capture->SetQueryGate(nullptr);
+  }
+
+  auto app = attack::MakeTestbed();
+  Joza scoped = Joza::Install(*app);
+  Joza per_check = Joza::Install(*app);
+  Joza literal = Joza::Install(*app, PaperLiteralConfig());
+  std::size_t checks = 0;
+  std::size_t attacks = 0;
+  std::size_t filtered = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    RequestScope scope = scoped.BeginRequest(requests[i]);
+    for (const std::string& q : queries[i]) {
+      const Verdict a = scope.Check(q);
+      const Verdict b = per_check.CheckRequest(q, requests[i]);
+      const Verdict c = literal.CheckRequest(q, requests[i]);
+      ASSERT_EQ(a.attack, b.attack) << q;
+      ASSERT_EQ(a.attack, c.attack) << q;
+      ASSERT_EQ(a.detected_by, b.detected_by) << q;
+      ASSERT_EQ(a.detected_by, c.detected_by) << q;
+      ASSERT_EQ(Evidence(a), Evidence(b)) << q;
+      ASSERT_EQ(Evidence(a), Evidence(c)) << q;
+      ASSERT_EQ(MarkingsOf(a.nti), MarkingsOf(b.nti)) << q;
+      ASSERT_EQ(NtiCounters(a.nti), NtiCounters(b.nti)) << q;
+      ++checks;
+      if (a.attack) ++attacks;
+      filtered += a.nti.seed_rejects + a.nti.seed_candidates;
+    }
+  }
+  EXPECT_GT(checks, 5000u);
+  EXPECT_GE(attacks, attack::PluginCatalog().size());
+  EXPECT_GT(filtered, checks);  // the served inputs reach the filter
 }
 
 // Benign-per-endpoint PTI coverage: with the full testbed vocabulary,

@@ -200,6 +200,97 @@ TEST(Caches, SourceUpdateInvalidates) {
   EXPECT_EQ(joza.stats().pti_full_runs, 2u);
 }
 
+TEST(Caches, CommentedQueryBypassesStructureCache) {
+  // The shape hash skips comments, so the commented query below has the
+  // cached query's shape; PTI must still see its uncovered comment.
+  Joza joza(RichFragments());
+  EXPECT_FALSE(joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5", {})
+                   .attack);
+  auto v = joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5 -- x", {});
+  EXPECT_FALSE(v.structure_cache_hit);
+  EXPECT_TRUE(v.attack);
+  EXPECT_EQ(v.detected_by, DetectedBy::kPti);
+  // Nor does a commented query that PTI proves safe enter the cache.
+  php::FragmentSet set = RichFragments();
+  set.AddRaw(" /* ok */");
+  Joza tolerant(std::move(set));
+  EXPECT_FALSE(
+      tolerant.Check("SELECT * FROM records WHERE ID=17 LIMIT 5 /* ok */", {})
+          .attack);
+  v = tolerant.Check("SELECT * FROM records WHERE ID=18 LIMIT 5", {});
+  EXPECT_FALSE(v.structure_cache_hit);
+  EXPECT_EQ(tolerant.stats().pti_full_runs, 2u);
+}
+
+// --- Request scopes ----------------------------------------------------------
+
+TEST(RequestScope, AnswersLikeOneCheckScopes) {
+  Joza scoped(RichFragments());
+  Joza single(RichFragments());
+  http::Request request = http::Request::Get(
+      "/page", {{"id", "1 OR 1 = 1"}, {"q", "records"}});
+  request.WithCookie("session", "abcdef123").WithHeader("host", "localhost");
+  RequestScope scope = scoped.BeginRequest(request);
+  for (const char* q : {"SELECT * FROM records WHERE ID=17 LIMIT 5",
+                        "SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5",
+                        "SELECT * FROM records WHERE ID=1 OR 1 = 2 LIMIT 5",
+                        "SELECT * FROM records WHERE ID=17 LIMIT 5"}) {
+    const Verdict a = scope.Check(q);
+    const Verdict b = single.CheckRequest(q, request);
+    EXPECT_EQ(a.attack, b.attack) << q;
+    EXPECT_EQ(a.detected_by, b.detected_by) << q;
+    EXPECT_EQ(a.query_cache_hit, b.query_cache_hit) << q;
+    EXPECT_EQ(a.nti.markings.size(), b.nti.markings.size()) << q;
+    EXPECT_EQ(a.nti.exact_hits, b.nti.exact_hits) << q;
+    EXPECT_EQ(a.nti.seed_rejects, b.nti.seed_rejects) << q;
+    EXPECT_EQ(a.nti.dp_runs, b.nti.dp_runs) << q;
+  }
+  EXPECT_EQ(scoped.stats().attacks_detected, 2u);
+  EXPECT_EQ(scoped.stats().queries_checked, 4u);
+}
+
+TEST(RequestScope, PinsItsSnapshotAcrossSourceUpdate) {
+  // The update makes `q` PTI-safe. The request under way keeps the
+  // vocabulary it began with; the next request sees the new one.
+  Joza joza(RichFragments());
+  const std::string q =
+      "SELECT * FROM records WHERE ID=1 UNION SELECT 9 LIMIT 5";
+  const http::Request request = http::Request::Get("/page", {{"id", "9"}});
+  RequestScope scope = joza.BeginRequest(request);
+  EXPECT_TRUE(scope.Check(q).attack);
+  joza.OnSourcesChanged({{"union.php", "$q = '" + q + "';"}});
+  const Verdict rest = scope.Check(q);
+  EXPECT_EQ(rest.ruleset_version, 0u);
+  EXPECT_EQ(scope.ruleset_version(), 0u);
+  EXPECT_TRUE(rest.attack);
+  const Verdict next = joza.BeginRequest(request).Check(q);
+  EXPECT_EQ(next.ruleset_version, 1u);
+  EXPECT_FALSE(next.attack);
+}
+
+TEST(RequestScope, GateAnswersForItsRequest) {
+  // An application serving one request through the scope's gate: the
+  // query cache still warms across requests, and a tainted query is
+  // blocked with the configured recovery policy.
+  Joza joza(RichFragments());
+  const http::Request benign = http::Request::Get("/page", {{"id", "17"}});
+  const http::Request attack =
+      http::Request::Get("/page", {{"id", "1 OR 1 = 1"}});
+  RequestScope first = joza.BeginRequest(benign);
+  webapp::QueryGate gate = first.MakeGate();
+  EXPECT_EQ(gate("SELECT * FROM records WHERE ID=17 LIMIT 5", benign).action,
+            webapp::GateDecision::Action::kAllow);
+  RequestScope second = joza.BeginRequest(attack);
+  gate = second.MakeGate();
+  EXPECT_EQ(gate("SELECT * FROM records WHERE ID=17 LIMIT 5", attack).action,
+            webapp::GateDecision::Action::kAllow);
+  EXPECT_EQ(joza.stats().query_cache_hits, 1u);
+  const webapp::GateDecision d =
+      gate("SELECT * FROM records WHERE ID=1 OR 1 = 1 LIMIT 5", attack);
+  EXPECT_EQ(d.action, webapp::GateDecision::Action::kBlockTerminate);
+  EXPECT_EQ(d.reason, "SQL injection detected by NTI");
+}
+
 // --- Snapshot versioning -----------------------------------------------------
 
 TEST(Snapshot, VersionBumpsAndIsStampedEverywhere) {

@@ -18,6 +18,7 @@
 #include "attack/catalog.h"
 #include "core/joza.h"
 #include "core/sharded_cache.h"
+#include "db/database.h"
 #include "gateway/client.h"
 #include "gateway/gateway.h"
 #include "ipc/daemon_pool.h"
@@ -595,6 +596,56 @@ TEST(GatewayServer, ConcurrentMixedTrafficOverTheWire) {
   const gateway::GatewayStats stats = server.stats();
   EXPECT_EQ(stats.requests_served, total);
   EXPECT_GT(stats.keepalive_reuses, 0u) << "keep-alive must be in effect";
+  server.Stop();
+}
+
+TEST(GatewayServer, RequestKeepsItsSnapshotAcrossSourceUpdate) {
+  // The handler serves each request through one engine scope. /update
+  // publishes a vocabulary that covers `q` and then issues `q`: the rest of
+  // its request still checks against the snapshot it began with, and only
+  // the next request sees the new one.
+  php::FragmentSet fragments;
+  fragments.AddRaw("SELECT * FROM records WHERE ID=");
+  fragments.AddRaw(" LIMIT 5");
+  core::Joza joza{std::move(fragments)};
+  const std::string q =
+      "SELECT * FROM records WHERE ID=1 UNION SELECT 2 LIMIT 5";
+  auto factory = [&joza, q] {
+    auto app = std::make_unique<webapp::Application>(
+        std::make_unique<db::Database>());
+    auto issue = [q](const http::Request&, const webapp::QueryRunner& run) {
+      (void)run(q);
+      return http::Response{200, "issued", 0.0};
+    };
+    app->AddRoute(
+        "/update",
+        [&joza, q, issue](const http::Request& request,
+                          const webapp::QueryRunner& run) {
+          joza.OnSourcesChanged({{"union.php", "$q = '" + q + "';"}});
+          return issue(request, run);
+        },
+        php::SourceFile{"update.php", "<?php ?>"});
+    app->AddRoute("/issue", issue, php::SourceFile{"issue.php", "<?php ?>"});
+    return app;
+  };
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 1;
+  gateway::GatewayServer server(factory, &joza, gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  gateway::KeepAliveClient client(port.value());
+
+  auto before = client.Get("/issue");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->status, 500);  // UNION is uncovered: terminated
+  auto during = client.Get("/update");
+  ASSERT_TRUE(during.ok());
+  EXPECT_EQ(during->status, 500);  // still checked at version 0
+  EXPECT_EQ(joza.ruleset_version(), 1u);
+  auto after = client.Get("/issue");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->status, 200);
+  EXPECT_EQ(joza.stats().attacks_detected, 2u);
   server.Stop();
 }
 

@@ -151,11 +151,11 @@ TEST(Nti, HigherThresholdCatchesMoreTransformedAttacks) {
 }
 
 TEST(Nti, BoundedAndUnboundedAgree) {
+  // The staged tier verifies with the threshold-bounded Sellers DP; the
+  // reference tier runs it unbounded, with no exact fast path.
   NtiConfig bounded;
-  bounded.bounded_search = true;
   NtiConfig unbounded;
-  unbounded.bounded_search = false;
-  unbounded.exact_fast_path = false;
+  unbounded.tier = MatchTier::kReference;
   const std::string query =
       "SELECT * FROM t WHERE a = 'pay\\'load' AND b = 1 OR 1=1";
   const std::vector<Input> inputs = {Get("a", "pay'load"),

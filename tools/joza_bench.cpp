@@ -12,6 +12,7 @@
 // baseline regression; 2 = unknown suite / bad usage / I/O failure.
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "benchkit/registry.h"
@@ -35,7 +36,8 @@ void PrintUsage() {
                "default would\n"
                "                     overwrite the baseline being checked)\n"
                "  --baseline FILE    baseline JSON to diff against "
-               "(default BENCH_<suite>.json)\n"
+               "(default BENCH_<suite>.json,\n"
+               "                     compared only when it exists)\n"
                "  --check-baseline   fail (exit 1) on baseline regression\n"
                "  --update-baseline  write results over the baseline file\n"
                "  --list             list available suites\n");
@@ -102,7 +104,12 @@ int main(int argc, char** argv) {
   joza::benchkit::RunnerOptions options;
   options.suite = suite_options;
   const std::string default_json = "BENCH_" + suite + ".json";
-  if (baseline_path.empty()) baseline_path = default_json;
+  // The default baseline is compared only when it exists: not every suite
+  // commits one. A baseline named with --baseline must exist.
+  if (baseline_path.empty() &&
+      (update_baseline || std::ifstream(default_json).good())) {
+    baseline_path = default_json;
+  }
 
   if (update_baseline) {
     // Refresh the committed trajectory file in place; no comparison.
@@ -111,8 +118,9 @@ int main(int argc, char** argv) {
     options.baseline_path = baseline_path;
     options.check_baseline = check_baseline;
     if (out_path.empty()) {
-      // Never clobber the baseline we are about to diff against.
-      out_path = (baseline_path == default_json)
+      // Never clobber the baseline we are about to diff against, and never
+      // write a BENCH_<suite>.json that a later run would take for one.
+      out_path = (baseline_path.empty() || baseline_path == default_json)
                      ? "BENCH_" + suite + ".fresh.json"
                      : default_json;
     }

@@ -49,8 +49,8 @@
 // tenant persists to and warm-starts from <path>.<tenant>; the
 // single-engine gateway does the same as the default tenant.
 //
-// Exit codes: 0 success, 2 config/usage parse failure, 3 bind/listen
-// failure.
+// Exit codes: 0 success, 2 config/usage parse failure (including a tenant
+// larger than the whole --memory-budget-mb), 3 bind/listen failure.
 #include <csignal>
 
 #include <atomic>
@@ -294,6 +294,25 @@ int main(int argc, char** argv) {
     fopts.pool.supervisor.restart_budget = restart_budget;
     fopts.snapshot_base = snapshot_path;
     fleet = std::make_unique<tenant::Fleet>(fopts);
+    // A tenant larger than the whole budget could never be admitted: every
+    // request to it would be answered 503. Refuse to start instead.
+    auto admissible = [&](const std::string& id,
+                          const php::FragmentSet& fragments) {
+      const std::uint64_t need =
+          tenant::Fleet::EstimateHotBytes(fragments, fopts.engine);
+      if (fopts.memory_budget_bytes == 0 || need <= fopts.memory_budget_bytes) {
+        return true;
+      }
+      std::fprintf(stderr,
+                   "tenant %s needs an estimated %llu bytes hot, more than "
+                   "the whole --memory-budget-mb %ld (%llu bytes): it could "
+                   "never be admitted\n",
+                   id.c_str(), static_cast<unsigned long long>(need),
+                   memory_budget_mb,
+                   static_cast<unsigned long long>(fopts.memory_budget_bytes));
+      return false;
+    };
+    if (!admissible(tenant::kDefaultTenant, seed)) return kExitConfigError;
     if (Status st = fleet->AddTenant(tenant::kDefaultTenant, seed);
         !st.ok()) {
       std::fprintf(stderr, "default tenant: %s\n", st.ToString().c_str());
@@ -304,6 +323,7 @@ int main(int argc, char** argv) {
       php::FragmentSet tenant_seed = seed;
       tenant_seed.AddRaw("SELECT marker_" + id + " FROM posts",
                          "tenant/" + id + ".php");
+      if (!admissible(id, tenant_seed)) return kExitConfigError;
       if (Status st = fleet->AddTenant(id, std::move(tenant_seed));
           !st.ok()) {
         std::fprintf(stderr, "tenant %s: %s\n", id.c_str(),
