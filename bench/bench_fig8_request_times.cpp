@@ -39,24 +39,31 @@ int main() {
     core::Joza joza = core::Joza::Install(*prot_app);
     prot_app->SetQueryGate(joza.MakeGate());
     benchkit::ServeOnce(*prot_app, make(1));  // warm caches (unmeasured seed)
-    joza.ResetStats();                     // count only the measured reps
+    const core::JozaStats before = joza.stats();
     const auto timing =
         benchkit::MeasurePair(*plain_app, *prot_app, make, kReps, 100);
 
     table.AddRow({row.name, benchkit::Num(timing.plain),
                   benchkit::Num(timing.protected_time),
                   benchkit::Pct(timing.overhead())});
-    const core::JozaStats js = joza.stats();
-    const std::size_t decided =
-        js.nti_tier_reference + js.nti_tier_bounded + js.nti_tier_staged;
-    matcher.AddRow({row.name, std::to_string(js.queries_checked),
-                    std::to_string(js.nti_exact_hits),
-                    std::to_string(js.nti_seed_candidates),
-                    std::to_string(js.nti_dp_runs),
-                    decided == 0
-                        ? "-"
-                        : benchkit::Pct(static_cast<double>(js.nti_tier_staged) /
-                                     static_cast<double>(decided))});
+    // Count only the measured reps.
+    const core::JozaStats after = joza.stats();
+    const auto measured = [&](std::uint64_t core::JozaStats::*counter) {
+      return after.*counter - before.*counter;
+    };
+    const std::uint64_t staged = measured(&core::JozaStats::nti_tier_staged);
+    const std::uint64_t decided =
+        measured(&core::JozaStats::nti_tier_reference) +
+        measured(&core::JozaStats::nti_tier_bounded) + staged;
+    matcher.AddRow(
+        {row.name,
+         std::to_string(measured(&core::JozaStats::queries_checked)),
+         std::to_string(measured(&core::JozaStats::nti_exact_hits)),
+         std::to_string(measured(&core::JozaStats::nti_seed_candidates)),
+         std::to_string(measured(&core::JozaStats::nti_dp_runs)),
+         decided == 0 ? "-"
+                      : benchkit::Pct(static_cast<double>(staged) /
+                                      static_cast<double>(decided))});
   }
   table.Print(
       "Figure 8: request times with and without Joza (reads cheapest, "

@@ -342,14 +342,12 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
                  static_cast<double>(shed_deadline), "count");
   result.AddInfo("overload.queue_rejects_503",
                  static_cast<double>(queue_rejects), "count");
-  // Resilience counters riding the same export: supervisor and retry
-  // accounting of the overload pool.
-  for (const auto& [name, value] : overload_ps.supervisor.Counters()) {
+  // Resilience counters riding the same export: pool, retry and
+  // supervisor accounting of the overload pool.
+  for (const auto& [name, value] : overload_ps.Counters()) {
     result.AddInfo(std::string("overload.") + name,
                    static_cast<double>(value), "count");
   }
-  result.AddInfo("overload.retries_denied",
-                 static_cast<double>(overload_ps.retries_denied), "count");
 
   // Gates: overload must actually shed, refusals must be fast (server-side
   // p99 of the shed path under 5 ms — the whole point of shedding is that
@@ -381,17 +379,14 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
 
   // Fault-phase counters depend on OS scheduling (which calls hang, how
   // many retries fire), so they are trajectory info, not exact-compared.
-  result.AddInfo("breaker.opens", static_cast<double>(bs.opens), "count");
-  result.AddInfo("breaker.closes", static_cast<double>(bs.closes), "count");
-  result.AddInfo("breaker.probes", static_cast<double>(bs.probes), "count");
-  result.AddInfo("engine.breaker_fast_rejects",
-                 static_cast<double>(js.breaker_fast_rejects), "count");
-  result.AddInfo("engine.pti_failures", static_cast<double>(js.pti_failures),
-                 "count");
-  result.AddInfo("engine.degraded_checks",
-                 static_cast<double>(js.degraded_checks), "count");
-  result.AddInfo("engine.degraded_blocks",
-                 static_cast<double>(js.degraded_blocks), "count");
+  for (const auto& [name, value] : bs.Counters()) {
+    result.AddInfo(std::string("breaker.") + name, static_cast<double>(value),
+                   "count");
+  }
+  for (const auto& [name, value] : js.Counters()) {
+    result.AddInfo(std::string("engine.") + name, static_cast<double>(value),
+                   "count");
+  }
   result.AddInfo("safety.over_budget",
                  static_cast<double>(total_over_budget), "count");
   result.AddInfo("safety.transport_failures",

@@ -9,8 +9,9 @@
 // Phase 3 (parity, gated): staged vs reference full-result equality over
 // the attack catalog (originals + NTI evasions) and a randomized corpus at
 // several thresholds — zero differences allowed.
-// Phase 4 (engine): a seeded benign mix served through the full engine
-// in-process for QPS/p50/p95/p99 and the per-stage JozaStats counters.
+// Phase 4 (engine): a seeded benign mix, in the served request shape,
+// through the full engine in-process (one request scope per request) for
+// QPS/p50/p95/p99 and the per-stage JozaStats counters.
 //
 // Stage counters and parity results are deterministic for a fixed seed and
 // are compared exactly against the committed baseline; throughput and
@@ -27,6 +28,7 @@
 #include "benchkit/serve.h"
 #include "benchkit/suites.h"
 #include "core/joza.h"
+#include "gateway/client.h"
 #include "http/request.h"
 #include "nti/nti.h"
 #include "phpsrc/fragments.h"
@@ -296,29 +298,49 @@ std::size_t CountMismatches(const std::vector<ParityCase>& cases,
 
 // --- Phase 4: engine-level workload --------------------------------------
 
+// The served shape: each request round-trips through the wire format a
+// gateway parses, so it carries the Host and Connection inputs (and any
+// cookie) a served request does.
+std::vector<http::Request> ServedRequests(
+    const std::vector<attack::WorkloadRequest>& workload) {
+  std::vector<http::Request> requests;
+  requests.reserve(workload.size());
+  for (const attack::WorkloadRequest& wr : workload) {
+    StatusOr<http::Request> parsed = http::ParseRawRequest(
+        gateway::SerializeRequest(wr.request, /*keep_alive=*/true));
+    if (parsed.ok()) requests.push_back(std::move(parsed).value());
+  }
+  return requests;
+}
+
 void EngineWorkload(SuiteResult& result, const SuiteOptions& options) {
   auto app = attack::MakeTestbed();
   core::Joza joza = core::Joza::Install(*app);
-  app->SetQueryGate(joza.MakeGate());
+  // As a gateway handler does: one engine scope per request, its gate
+  // installed for the request's queries.
+  const auto serve = [&](const http::Request& request) {
+    core::RequestScope scope = joza.BeginRequest(request);
+    app->SetQueryGate(scope.MakeGate());
+    app->Handle(request);
+    app->SetQueryGate(nullptr);
+  };
 
   const std::size_t count = options.quick ? 150 : 600;
-  const auto warm = attack::MakeMixedWorkload(count / 4, 0.1, options.seed);
-  const auto steady =
-      attack::MakeMixedWorkload(count, 0.1, options.seed + 100);
+  const std::vector<http::Request> warm = ServedRequests(
+      attack::MakeMixedWorkload(count / 4, 0.1, options.seed));
+  const std::vector<http::Request> steady = ServedRequests(
+      attack::MakeMixedWorkload(count, 0.1, options.seed + 100));
 
   LatencyRecorder recorder;
-  for (const attack::WorkloadRequest& wr : warm) {
-    app->Handle(wr.request);
-  }
+  for (const http::Request& request : warm) serve(request);
   recorder.EndWarmup();
   Stopwatch watch;
-  for (const attack::WorkloadRequest& wr : steady) {
+  for (const http::Request& request : steady) {
     Stopwatch per;
-    app->Handle(wr.request);
+    serve(request);
     recorder.Record(per.ElapsedSeconds() * 1e3);
   }
   const double steady_secs = watch.ElapsedSeconds();
-  app->SetQueryGate(nullptr);
 
   const core::JozaStats stats = joza.stats();
   result.AddInfo("engine.qps", recorder.Qps(steady_secs), "qps");

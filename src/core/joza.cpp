@@ -38,65 +38,21 @@ const char* DegradedModeName(DegradedMode mode) {
 }
 
 JozaStats& JozaStats::operator+=(const JozaStats& other) {
-  queries_checked += other.queries_checked;
-  attacks_detected += other.attacks_detected;
-  query_cache_hits += other.query_cache_hits;
-  structure_cache_hits += other.structure_cache_hits;
-  pti_full_runs += other.pti_full_runs;
-  nti_runs += other.nti_runs;
-  nti_exact_hits += other.nti_exact_hits;
-  nti_seed_candidates += other.nti_seed_candidates;
-  nti_dp_runs += other.nti_dp_runs;
-  nti_tier_reference += other.nti_tier_reference;
-  nti_tier_bounded += other.nti_tier_bounded;
-  nti_tier_staged += other.nti_tier_staged;
-  cache_evictions += other.cache_evictions;
-  pti_failures += other.pti_failures;
-  breaker_fast_rejects += other.breaker_fast_rejects;
-  degraded_checks += other.degraded_checks;
-  degraded_blocks += other.degraded_blocks;
-  // Version is an identity, not a counter: a roll-up reports the newest
-  // snapshot any engine has published. Swap counts add like counters.
-  ruleset_version = std::max(ruleset_version, other.ruleset_version);
-  ruleset_swaps += other.ruleset_swaps;
-  snapshot_saves += other.snapshot_saves;
-  snapshot_save_failures += other.snapshot_save_failures;
-  snapshot_loads += other.snapshot_loads;
+  for (const CounterField<JozaStats>& row : kJozaCounters) {
+    std::uint64_t& mine = this->*row.field;
+    const std::uint64_t theirs = other.*row.field;
+    mine = row.keeps_max ? std::max(mine, theirs) : mine + theirs;
+  }
   return *this;
 }
 
-std::vector<std::pair<const char*, std::uint64_t>> JozaStats::Counters()
-    const {
-  return {
-      {"queries_checked", queries_checked},
-      {"attacks_detected", attacks_detected},
-      {"query_cache_hits", query_cache_hits},
-      {"structure_cache_hits", structure_cache_hits},
-      {"pti_full_runs", pti_full_runs},
-      {"nti_runs", nti_runs},
-      {"nti_exact_hits", nti_exact_hits},
-      {"nti_seed_candidates", nti_seed_candidates},
-      {"nti_dp_runs", nti_dp_runs},
-      {"nti_tier_reference", nti_tier_reference},
-      {"nti_tier_bounded", nti_tier_bounded},
-      {"nti_tier_staged", nti_tier_staged},
-      {"cache_evictions", cache_evictions},
-      {"pti_failures", pti_failures},
-      {"breaker_fast_rejects", breaker_fast_rejects},
-      {"degraded_checks", degraded_checks},
-      {"degraded_blocks", degraded_blocks},
-      {"ruleset_version", ruleset_version},
-      {"ruleset_swaps", ruleset_swaps},
-      {"snapshot_saves", snapshot_saves},
-      {"snapshot_save_failures", snapshot_save_failures},
-      {"snapshot_loads", snapshot_loads},
-  };
+CounterList JozaStats::Counters() const {
+  return ExportCounters(*this, kJozaCounters);
 }
 
 Joza::Joza(php::FragmentSet fragments, JozaConfig config)
     : config_(config),
       state_(std::make_unique<SharedState>(config.cache_capacity,
-                                           config.cache_shards,
                                            config.breaker)) {
   auto ruleset = pti::Ruleset::Build(std::move(fragments), config_.pti,
                                      config_.initial_ruleset_version);
@@ -118,65 +74,11 @@ std::uint64_t Joza::ruleset_version() const {
 }
 
 JozaStats Joza::stats() const {
-  JozaStats out;
-  const AtomicStats& a = state_->stats;
-  out.queries_checked = a.queries_checked.load(std::memory_order_relaxed);
-  out.attacks_detected = a.attacks_detected.load(std::memory_order_relaxed);
-  out.query_cache_hits = a.query_cache_hits.load(std::memory_order_relaxed);
-  out.structure_cache_hits =
-      a.structure_cache_hits.load(std::memory_order_relaxed);
-  out.pti_full_runs = a.pti_full_runs.load(std::memory_order_relaxed);
-  out.nti_runs = a.nti_runs.load(std::memory_order_relaxed);
-  out.nti_exact_hits = a.nti_exact_hits.load(std::memory_order_relaxed);
-  out.nti_seed_candidates =
-      a.nti_seed_candidates.load(std::memory_order_relaxed);
-  out.nti_dp_runs = a.nti_dp_runs.load(std::memory_order_relaxed);
-  out.nti_tier_reference =
-      a.nti_tier_reference.load(std::memory_order_relaxed);
-  out.nti_tier_bounded = a.nti_tier_bounded.load(std::memory_order_relaxed);
-  out.nti_tier_staged = a.nti_tier_staged.load(std::memory_order_relaxed);
-  out.pti_failures = a.pti_failures.load(std::memory_order_relaxed);
-  out.breaker_fast_rejects =
-      a.breaker_fast_rejects.load(std::memory_order_relaxed);
-  out.degraded_checks = a.degraded_checks.load(std::memory_order_relaxed);
-  out.degraded_blocks = a.degraded_blocks.load(std::memory_order_relaxed);
+  JozaStats out = LoadCounters(state_->stats, kJozaCounters);
   out.cache_evictions =
-      state_->query_cache.evictions() + state_->structure_cache.evictions() -
-      state_->evictions_baseline.load(std::memory_order_relaxed);
+      state_->query_cache.evictions() + state_->structure_cache.evictions();
   out.ruleset_version = state_->snapshot.Load()->version;
-  out.ruleset_swaps = a.ruleset_swaps.load(std::memory_order_relaxed);
-  out.snapshot_saves = a.snapshot_saves.load(std::memory_order_relaxed);
-  out.snapshot_save_failures =
-      a.snapshot_save_failures.load(std::memory_order_relaxed);
-  out.snapshot_loads = a.snapshot_loads.load(std::memory_order_relaxed);
   return out;
-}
-
-void Joza::ResetStats() {
-  AtomicStats& a = state_->stats;
-  a.queries_checked.store(0, std::memory_order_relaxed);
-  a.attacks_detected.store(0, std::memory_order_relaxed);
-  a.query_cache_hits.store(0, std::memory_order_relaxed);
-  a.structure_cache_hits.store(0, std::memory_order_relaxed);
-  a.pti_full_runs.store(0, std::memory_order_relaxed);
-  a.nti_runs.store(0, std::memory_order_relaxed);
-  a.nti_exact_hits.store(0, std::memory_order_relaxed);
-  a.nti_seed_candidates.store(0, std::memory_order_relaxed);
-  a.nti_dp_runs.store(0, std::memory_order_relaxed);
-  a.nti_tier_reference.store(0, std::memory_order_relaxed);
-  a.nti_tier_bounded.store(0, std::memory_order_relaxed);
-  a.nti_tier_staged.store(0, std::memory_order_relaxed);
-  a.pti_failures.store(0, std::memory_order_relaxed);
-  a.breaker_fast_rejects.store(0, std::memory_order_relaxed);
-  a.degraded_checks.store(0, std::memory_order_relaxed);
-  a.degraded_blocks.store(0, std::memory_order_relaxed);
-  a.ruleset_swaps.store(0, std::memory_order_relaxed);
-  a.snapshot_saves.store(0, std::memory_order_relaxed);
-  a.snapshot_save_failures.store(0, std::memory_order_relaxed);
-  a.snapshot_loads.store(0, std::memory_order_relaxed);
-  state_->evictions_baseline.store(
-      state_->query_cache.evictions() + state_->structure_cache.evictions(),
-      std::memory_order_relaxed);
 }
 
 void Joza::OnSourcesChanged(const std::vector<php::SourceFile>& files) {
@@ -190,7 +92,7 @@ void Joza::OnSourcesChanged(const std::vector<php::SourceFile>& files) {
   const std::shared_ptr<const pti::Ruleset> published = next_pti;
   state_->snapshot.Publish(std::make_shared<const RulesetSnapshot>(
       RulesetSnapshot{std::move(next_pti), current->nti, next_version}));
-  state_->stats.ruleset_swaps.fetch_add(1, std::memory_order_relaxed);
+  Bump(state_->stats.ruleset_swaps);
   // Cache keys are salted with the snapshot version, so entries proven
   // under the old vocabulary can never satisfy a lookup against the new
   // one — including entries a racing reader inserts after this swap (it
@@ -204,12 +106,8 @@ void Joza::OnSourcesChanged(const std::vector<php::SourceFile>& files) {
   if (snapshot_sink_) {
     const Status persisted =
         snapshot_sink_(published->fragments(), next_version);
-    if (persisted.ok()) {
-      state_->stats.snapshot_saves.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      state_->stats.snapshot_save_failures.fetch_add(
-          1, std::memory_order_relaxed);
-    }
+    Bump(persisted.ok() ? state_->stats.snapshot_saves
+                        : state_->stats.snapshot_save_failures);
   }
 }
 
@@ -219,18 +117,17 @@ const std::vector<sql::Token>& Joza::AnalysisContext::Tokens() {
 }
 
 StatusOr<pti::PtiResult> Joza::RunPti(AnalysisContext& ctx) {
-  state_->stats.pti_full_runs.fetch_add(1, std::memory_order_relaxed);
+  Bump(state_->stats.pti_full_runs);
   if (pti_backend_) {
     if (!state_->breaker.Allow()) {
-      state_->stats.breaker_fast_rejects.fetch_add(1,
-                                                   std::memory_order_relaxed);
-      state_->stats.pti_failures.fetch_add(1, std::memory_order_relaxed);
+      Bump(state_->stats.breaker_fast_rejects);
+      Bump(state_->stats.pti_failures);
       return Status::Unavailable("PTI circuit breaker open");
     }
     auto result = pti_backend_(ctx.query, ctx.Tokens(), ctx.deadline);
     if (!result.ok()) {
       state_->breaker.RecordFailure();
-      state_->stats.pti_failures.fetch_add(1, std::memory_order_relaxed);
+      Bump(state_->stats.pti_failures);
       return result.status();
     }
     state_->breaker.RecordSuccess();
@@ -285,7 +182,7 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
   ctx.snapshot = &snap;
   ctx.deadline = deadline;
 
-  state_->stats.queries_checked.fetch_add(1, std::memory_order_relaxed);
+  Bump(state_->stats.queries_checked);
   Verdict verdict;
   verdict.ruleset_version = snap.version;
 
@@ -297,7 +194,7 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
     // safety under *this* vocabulary, never an older one.
     const std::uint64_t qhash = HashCombine(Fnv1a64(query), snap.version);
     if (config_.query_cache && state_->query_cache.Lookup(qhash)) {
-      state_->stats.query_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      Bump(state_->stats.query_cache_hits);
       verdict.query_cache_hit = true;
       resolved = true;  // safe
     }
@@ -314,8 +211,7 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
         shash = HashCombine(parsed.value(), snap.version);
         have_shash = true;
         if (state_->structure_cache.Lookup(shash)) {
-          state_->stats.structure_cache_hits.fetch_add(
-              1, std::memory_order_relaxed);
+          Bump(state_->stats.structure_cache_hits);
           verdict.structure_cache_hit = true;
           resolved = true;  // same shape as a previously PTI-safe query
           // This exact text would hit the same entry again, so promote it:
@@ -342,7 +238,7 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
         // nothing was proven safe.
         verdict.degraded = true;
         verdict.pti_unavailable = true;
-        state_->stats.degraded_checks.fetch_add(1, std::memory_order_relaxed);
+        Bump(state_->stats.degraded_checks);
         if (config_.degraded_mode == DegradedMode::kNtiOnly &&
             config_.enable_nti) {
           // NTI alone decides; PTI treated as (unproven) safe.
@@ -359,7 +255,7 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
   // --- NTI (never cached: depends on this request's inputs) ---------------
   bool nti_safe = true;
   if (nti != nullptr) {
-    state_->stats.nti_runs.fetch_add(1, std::memory_order_relaxed);
+    Bump(state_->stats.nti_runs);
     verdict.nti = nti->Mark(query);
     // Only the whole-token rule reads tokens, and with no marking it has
     // nothing to decide.
@@ -370,17 +266,17 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
     }
     nti_safe = !verdict.nti.attack_detected;
     // Most of these are zero on any one check; skip the atomic for those.
-    auto add = [](std::atomic<std::size_t>& counter, std::size_t value) {
-      if (value != 0) counter.fetch_add(value, std::memory_order_relaxed);
+    auto add = [](std::uint64_t& counter, std::size_t value) {
+      if (value != 0) Bump(counter, value);
     };
-    AtomicStats& a = state_->stats;
+    JozaStats& s = state_->stats;
     const nti::NtiResult& r = verdict.nti;
-    add(a.nti_exact_hits, r.exact_hits);
-    add(a.nti_seed_candidates, r.seed_candidates);
-    add(a.nti_dp_runs, r.dp_runs);
-    add(a.nti_tier_reference, r.tier_reference);
-    add(a.nti_tier_bounded, r.tier_bounded);
-    add(a.nti_tier_staged, r.tier_staged);
+    add(s.nti_exact_hits, r.exact_hits);
+    add(s.nti_seed_candidates, r.seed_candidates);
+    add(s.nti_dp_runs, r.dp_runs);
+    add(s.nti_tier_reference, r.tier_reference);
+    add(s.nti_tier_bounded, r.tier_bounded);
+    add(s.nti_tier_staged, r.tier_staged);
   }
 
   verdict.attack = !pti_safe || !nti_safe;
@@ -398,13 +294,11 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
   // kept out of the attack audit log (a daemon outage must not flood the
   // sink with one phantom attack per request).
   if (verdict.attack && verdict.detected_by == DetectedBy::kNone) {
-    state_->stats.degraded_blocks.fetch_add(1, std::memory_order_relaxed);
+    Bump(state_->stats.degraded_blocks);
     return verdict;
   }
   if (verdict.attack) {
-    const std::size_t sequence =
-        state_->stats.attacks_detected.fetch_add(1, std::memory_order_relaxed) +
-        1;
+    const std::size_t sequence = Bump(state_->stats.attacks_detected) + 1;
     // The structured report (string copies, token texts) is materialized
     // only when someone is listening.
     if (attack_sink_) EmitAttackReport(verdict, query, sequence);

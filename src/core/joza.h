@@ -24,12 +24,11 @@
 // it; OnSourcesChanged builds a successor snapshot off to the side and
 // publishes it RCU-style, so updates never quiesce readers — a request
 // already under way finishes on the snapshot it pinned. The caches are
-// sharded with striped locks, and stats counters are atomic. The setters
-// (SetPtiBackend, SetAttackSink) and ResetStats are setup-time operations:
-// call them before concurrent checking starts.
+// sharded with striped locks, and stats counters are relaxed atomic adds.
+// The setters (SetPtiBackend, SetAttackSink, SetSnapshotSink) are
+// setup-time operations: call them before concurrent checking starts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -49,6 +48,7 @@
 #include "pti/ruleset.h"
 #include "sqlparse/critical.h"
 #include "sqlparse/token.h"
+#include "util/counters.h"
 #include "util/deadline.h"
 #include "util/rcu.h"
 #include "util/span.h"
@@ -91,14 +91,10 @@ struct JozaConfig {
   // Circuit breaker wrapping the external PTI backend (ignored for the
   // in-process analyzer, which cannot fail). threshold 0 disables.
   resilience::CircuitBreakerOptions breaker;
-  // Bound on each safety cache's entry count. 0 keeps the seed behaviour
-  // (unbounded, as the Table V/VI benches assume); the gateway sets a bound
-  // so memory stays stable under unbounded distinct-query traffic. Eviction
-  // is CLOCK (LRU-ish) and can only forget safe verdicts, never grant one.
-  std::size_t cache_capacity = 0;
-  // Lock-striping width of the safety caches (rounded up to a power of
-  // two). More shards = less contention between worker threads.
-  std::size_t cache_shards = 16;
+  // Bound on each safety cache's entry count (at least 1), so memory stays
+  // stable under unbounded distinct-query traffic. Eviction is CLOCK
+  // (LRU-ish) and can only forget safe verdicts, never grant one.
+  std::size_t cache_capacity = 1 << 16;
   // Version the seed fragment set corresponds to. A warm start from a
   // crash-durable snapshot passes the recovered version so the engine
   // continues the pre-crash version line (cache salts, verdict stamps,
@@ -141,51 +137,77 @@ struct Verdict {
 };
 
 struct JozaStats {
-  std::size_t queries_checked = 0;
-  std::size_t attacks_detected = 0;
-  std::size_t query_cache_hits = 0;
-  std::size_t structure_cache_hits = 0;
-  std::size_t pti_full_runs = 0;
-  std::size_t nti_runs = 0;
+  std::uint64_t queries_checked = 0;
+  std::uint64_t attacks_detected = 0;
+  std::uint64_t query_cache_hits = 0;
+  std::uint64_t structure_cache_hits = 0;
+  std::uint64_t pti_full_runs = 0;
+  std::uint64_t nti_runs = 0;
   // NTI matcher-pipeline roll-up (sums of the per-check NtiResult
   // counters): inputs resolved by the exact stage, candidates that reached
   // the kernel past the bigram block filter, full Sellers verifications,
   // and the tier histogram of which path decided each considered input.
-  std::size_t nti_exact_hits = 0;
-  std::size_t nti_seed_candidates = 0;
-  std::size_t nti_dp_runs = 0;
-  std::size_t nti_tier_reference = 0;
-  std::size_t nti_tier_bounded = 0;
-  std::size_t nti_tier_staged = 0;
-  std::size_t cache_evictions = 0;
+  std::uint64_t nti_exact_hits = 0;
+  std::uint64_t nti_seed_candidates = 0;
+  std::uint64_t nti_dp_runs = 0;
+  std::uint64_t nti_tier_reference = 0;
+  std::uint64_t nti_tier_bounded = 0;
+  std::uint64_t nti_tier_staged = 0;
+  std::uint64_t cache_evictions = 0;
   // Degraded-path accounting: backend calls that returned an error (incl.
   // deadline misses), calls the open breaker refused without trying, checks
   // decided without a PTI verdict, and checks blocked solely because of
   // degradation (not counted as attacks_detected — nothing was detected).
-  std::size_t pti_failures = 0;
-  std::size_t breaker_fast_rejects = 0;
-  std::size_t degraded_checks = 0;
-  std::size_t degraded_blocks = 0;
+  std::uint64_t pti_failures = 0;
+  std::uint64_t breaker_fast_rejects = 0;
+  std::uint64_t degraded_checks = 0;
+  std::uint64_t degraded_blocks = 0;
   // Snapshot lifecycle: version currently published and the number of
   // publishes since construction (version is an identity — aggregation
   // takes the max; swaps is a counter — aggregation sums).
   std::uint64_t ruleset_version = 0;
-  std::size_t ruleset_swaps = 0;
+  std::uint64_t ruleset_swaps = 0;
   // Crash-durability accounting: successful/failed persists through the
   // snapshot sink, and warm starts recovered from a persisted snapshot.
-  std::size_t snapshot_saves = 0;
-  std::size_t snapshot_save_failures = 0;
-  std::size_t snapshot_loads = 0;
+  std::uint64_t snapshot_saves = 0;
+  std::uint64_t snapshot_save_failures = 0;
+  std::uint64_t snapshot_loads = 0;
 
   // Aggregation across engines / snapshot intervals (gateway roll-ups).
   JozaStats& operator+=(const JozaStats& other);
 
-  // Flattened name/value export of every counter above, in declaration
-  // order — the single source the benchmark subsystem and monitoring
-  // surfaces read, so a newly added field cannot be silently dropped from
-  // the emitted BENCH_*.json.
-  std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
+  // Name/value export of every counter, in kJozaCounters order: the one
+  // source the benchmark subsystem and the shutdown dump read.
+  CounterList Counters() const;
 };
+
+inline constexpr CounterField<JozaStats> kJozaCounters[] = {
+    {"queries_checked", &JozaStats::queries_checked},
+    {"attacks_detected", &JozaStats::attacks_detected},
+    {"query_cache_hits", &JozaStats::query_cache_hits},
+    {"structure_cache_hits", &JozaStats::structure_cache_hits},
+    {"pti_full_runs", &JozaStats::pti_full_runs},
+    {"nti_runs", &JozaStats::nti_runs},
+    {"nti_exact_hits", &JozaStats::nti_exact_hits},
+    {"nti_seed_candidates", &JozaStats::nti_seed_candidates},
+    {"nti_dp_runs", &JozaStats::nti_dp_runs},
+    {"nti_tier_reference", &JozaStats::nti_tier_reference},
+    {"nti_tier_bounded", &JozaStats::nti_tier_bounded},
+    {"nti_tier_staged", &JozaStats::nti_tier_staged},
+    {"cache_evictions", &JozaStats::cache_evictions},
+    {"pti_failures", &JozaStats::pti_failures},
+    {"breaker_fast_rejects", &JozaStats::breaker_fast_rejects},
+    {"degraded_checks", &JozaStats::degraded_checks},
+    {"degraded_blocks", &JozaStats::degraded_blocks},
+    {"ruleset_version", &JozaStats::ruleset_version, /*keeps_max=*/true},
+    {"ruleset_swaps", &JozaStats::ruleset_swaps},
+    {"snapshot_saves", &JozaStats::snapshot_saves},
+    {"snapshot_save_failures", &JozaStats::snapshot_save_failures},
+    {"snapshot_loads", &JozaStats::snapshot_loads},
+};
+static_assert(sizeof(JozaStats) ==
+                  std::size(kJozaCounters) * sizeof(std::uint64_t),
+              "every JozaStats field needs a row in kJozaCounters");
 
 // Structured record of one detected attack, for audit logs / operators.
 struct AttackReport {
@@ -239,9 +261,9 @@ class Joza {
   static Joza Install(const webapp::Application& app, JozaConfig config = {});
 
   const JozaConfig& config() const { return config_; }
-  // Consistent point-in-time snapshot of the atomic counters.
+  // Relaxed snapshot of the counters (each read atomically). Subtract two
+  // snapshots to count an interval.
   JozaStats stats() const;
-  void ResetStats();
 
   // The currently-published ruleset snapshot (one atomic load). Callers
   // may hold it for as long as they like; it never mutates.
@@ -261,9 +283,7 @@ class Joza {
 
   // Records that this engine was warm-started from a persisted snapshot
   // (exported as snapshot_loads; called by whoever performed the load).
-  void NoteSnapshotLoad() {
-    state_->stats.snapshot_loads.fetch_add(1, std::memory_order_relaxed);
-  }
+  void NoteSnapshotLoad() { Bump(state_->stats.snapshot_loads); }
 
   // Circuit breaker guarding the external PTI backend. Exposed for stats
   // snapshots and tests; resetting it mid-traffic is safe.
@@ -318,39 +338,13 @@ class Joza {
     std::vector<sql::Token> nti_critical;      // per snapshot->nti policy
   };
 
-  // Per-field atomic mirror of JozaStats, relaxed increments on the hot
-  // path; stats() sums them into a plain snapshot.
-  struct AtomicStats {
-    std::atomic<std::size_t> queries_checked{0};
-    std::atomic<std::size_t> attacks_detected{0};
-    std::atomic<std::size_t> query_cache_hits{0};
-    std::atomic<std::size_t> structure_cache_hits{0};
-    std::atomic<std::size_t> pti_full_runs{0};
-    std::atomic<std::size_t> nti_runs{0};
-    std::atomic<std::size_t> nti_exact_hits{0};
-    std::atomic<std::size_t> nti_seed_candidates{0};
-    std::atomic<std::size_t> nti_dp_runs{0};
-    std::atomic<std::size_t> nti_tier_reference{0};
-    std::atomic<std::size_t> nti_tier_bounded{0};
-    std::atomic<std::size_t> nti_tier_staged{0};
-    std::atomic<std::size_t> pti_failures{0};
-    std::atomic<std::size_t> breaker_fast_rejects{0};
-    std::atomic<std::size_t> degraded_checks{0};
-    std::atomic<std::size_t> degraded_blocks{0};
-    std::atomic<std::size_t> ruleset_swaps{0};
-    std::atomic<std::size_t> snapshot_saves{0};
-    std::atomic<std::size_t> snapshot_save_failures{0};
-    std::atomic<std::size_t> snapshot_loads{0};
-  };
-
   // All concurrently-mutated state lives behind one pointer so Joza itself
   // stays movable (Install returns by value). Moving an engine while other
   // threads are checking through it is, of course, still undefined.
   struct SharedState {
-    SharedState(std::size_t capacity, std::size_t shards,
+    SharedState(std::size_t capacity,
                 resilience::CircuitBreakerOptions breaker_options)
-        : query_cache(capacity, shards),
-          structure_cache(capacity, shards),
+        : query_cache(capacity), structure_cache(capacity),
           breaker(breaker_options) {}
     // The published ruleset snapshot; readers pin it lock-free.
     RcuCell<RulesetSnapshot> snapshot;
@@ -361,10 +355,10 @@ class Joza {
     // Structure cache: AST-structure hashes of previously PTI-safe queries
     // (same version salt).
     ShardedSafetyCache structure_cache;
-    AtomicStats stats;
-    // Counter snapshot subtracted by ResetStats (cache eviction counters
-    // are cumulative inside the cache).
-    std::atomic<std::size_t> evictions_baseline{0};
+    // Live counters, touched only through Bump and LoadCounters.
+    // cache_evictions and ruleset_version stay 0 here: stats() reads them
+    // from the caches and the published snapshot.
+    JozaStats stats;
     // Serializes writers (OnSourcesChanged) against each other only;
     // checks never touch it.
     std::mutex swap_mu;

@@ -1,21 +1,16 @@
 #include "core/sharded_cache.h"
 
+#include <algorithm>
+
 namespace joza::core {
 
 namespace {
 
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-// `shards` rounded up to a power of two; a bounded cache also caps it at
-// the largest power of two <= capacity, so every shard keeps at least one
-// slot and the shards together never hold more than the capacity.
-std::size_t ShardCount(std::size_t capacity, std::size_t shards) {
-  std::size_t n = RoundUpPow2(shards == 0 ? 1 : shards);
-  while (capacity != 0 && n > capacity) n >>= 1;
+// kShards capped at the largest power of two <= capacity, so the shards
+// together never hold more than the capacity.
+std::size_t ShardCount(std::size_t capacity) {
+  std::size_t n = ShardedSafetyCache::kShards;
+  while (n > capacity) n >>= 1;
   return n;
 }
 
@@ -30,9 +25,9 @@ std::size_t Log2(std::size_t pow2) {
 
 }  // namespace
 
-ShardedSafetyCache::ShardedSafetyCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity), shards_(ShardCount(capacity, shards)) {
-  per_shard_cap_ = capacity_ / shards_.size();
+ShardedSafetyCache::ShardedSafetyCache(std::size_t capacity)
+    : shards_(ShardCount(std::max<std::size_t>(capacity, 1))) {
+  per_shard_cap_ = std::max<std::size_t>(capacity, 1) / shards_.size();
   shard_shift_ = 64 - Log2(shards_.size());
 }
 
@@ -46,7 +41,6 @@ ShardedSafetyCache::Shard& ShardedSafetyCache::ShardFor(std::uint64_t hash) {
 bool ShardedSafetyCache::Lookup(std::uint64_t hash) {
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (per_shard_cap_ == 0) return shard.set.contains(hash);
   auto it = shard.index.find(hash);
   if (it == shard.index.end()) return false;
   shard.slots[it->second].referenced = true;
@@ -56,10 +50,6 @@ bool ShardedSafetyCache::Lookup(std::uint64_t hash) {
 void ShardedSafetyCache::Insert(std::uint64_t hash) {
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (per_shard_cap_ == 0) {
-    shard.set.insert(hash);
-    return;
-  }
   if (auto it = shard.index.find(hash); it != shard.index.end()) {
     shard.slots[it->second].referenced = true;
     return;
@@ -92,7 +82,6 @@ void ShardedSafetyCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.slots.clear();
     shard.index.clear();
-    shard.set.clear();
     shard.hand = 0;
   }
 }
@@ -101,7 +90,7 @@ std::size_t ShardedSafetyCache::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += per_shard_cap_ == 0 ? shard.set.size() : shard.slots.size();
+    total += shard.slots.size();
   }
   return total;
 }

@@ -1,4 +1,4 @@
-// Sharded, thread-safe, optionally bounded cache of safe-verdict hashes.
+// Sharded, thread-safe, bounded cache of safe-verdict hashes.
 //
 // The query cache and structure cache hold 64-bit hashes of queries PTI has
 // deemed safe. Under the concurrent gateway many worker threads consult and
@@ -8,27 +8,27 @@
 // shards (striped locking, so unrelated lookups never contend), and each
 // shard is bounded with CLOCK second-chance eviction — an LRU approximation
 // that keeps the hot working set resident with O(1) amortized updates.
-//
-// A capacity of 0 keeps the seed behaviour: unbounded, never evicts. The
-// structure is safety-preserving either way: eviction can only *forget* a
-// safe verdict (forcing a redundant PTI re-run), never grant one.
+// Eviction is safety-preserving: it can only *forget* a safe verdict
+// (forcing a redundant PTI re-run), never grant one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace joza::core {
 
 class ShardedSafetyCache {
  public:
-  // `capacity` bounds the total entry count across all shards (0 =
-  // unbounded). `shards` is rounded up to a power of two, at least 1; a
-  // bounded cache uses at most the largest power of two <= capacity.
-  explicit ShardedSafetyCache(std::size_t capacity = 0, std::size_t shards = 16);
+  // Lock-striping width: kShards, or the largest power of two <= capacity
+  // when that is smaller, so every shard keeps at least one slot.
+  static constexpr std::size_t kShards = 16;
+
+  // `capacity` bounds the total entry count across all shards (a capacity
+  // of 0 is taken as 1).
+  explicit ShardedSafetyCache(std::size_t capacity);
 
   ShardedSafetyCache(const ShardedSafetyCache&) = delete;
   ShardedSafetyCache& operator=(const ShardedSafetyCache&) = delete;
@@ -44,8 +44,6 @@ class ShardedSafetyCache {
   void Clear();
 
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
   std::size_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
@@ -57,18 +55,15 @@ class ShardedSafetyCache {
   };
   struct Shard {
     mutable std::mutex mu;
-    // Bounded mode: ring of slots walked by the clock hand, plus an index.
+    // Ring of slots walked by the clock hand, plus an index.
     std::vector<Slot> slots;
     std::unordered_map<std::uint64_t, std::size_t> index;  // hash -> slot
     std::size_t hand = 0;
-    // Unbounded mode (per-shard cap 0): plain set, no eviction metadata.
-    std::unordered_set<std::uint64_t> set;
   };
 
   Shard& ShardFor(std::uint64_t hash);
 
-  std::size_t capacity_;
-  std::size_t per_shard_cap_;  // 0 = unbounded
+  std::size_t per_shard_cap_;  // >= 1
   std::size_t shard_shift_;    // 64 - log2(shard count)
   std::atomic<std::size_t> evictions_{0};
   std::vector<Shard> shards_;

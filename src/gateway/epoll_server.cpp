@@ -137,12 +137,7 @@ class Shard {
   // Handler side: a response is rendered; the shard writes it.
   void Complete(Completion done);
 
-  ShardStats Snapshot() const {
-    ShardStats out;
-    out.connections = conns_accepted_.load(std::memory_order_relaxed);
-    out.requests = handed_off_.load(std::memory_order_relaxed);
-    return out;
-  }
+  ShardStats Snapshot() const { return LoadCounters(stats_, kShardCounters); }
 
  private:
   enum class TimerKind { kIdle, kRead };
@@ -212,8 +207,7 @@ class Shard {
   std::vector<Completion> taken_;  // shard thread only
 
   // Read by stats() from other threads.
-  std::atomic<std::size_t> conns_accepted_{0};
-  std::atomic<std::size_t> handed_off_{0};
+  ShardStats stats_;
 
   std::thread thread_;  // last: runs over every member above
 };
@@ -273,7 +267,7 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
       picked - job.enqueued >= config().request_deadline &&
       !shared_.stopping.load(std::memory_order_relaxed)) {
     // Not counted as served.
-    shared_.shed_by_deadline.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.shed_by_deadline);
     done.bytes = RenderResponse(SimpleResponse(503, "shed: deadline"), false);
     shared_.shed_latency.Record(
         std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
@@ -296,7 +290,7 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
   http::Response response;
   bool keep_alive = false;
   if (!parsed.ok()) {
-    shared_.bad_requests.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.bad_requests);
     response.status = 400;
     response.body = "Bad Request";
   } else if (route.not_found) {
@@ -305,7 +299,7 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
   } else if (shared_.fleet != nullptr && !pin.ok()) {
     // Fail-closed: the tenant exists but its engine could not be pinned
     // (the memory budget cannot admit it). Never serve unprotected.
-    shared_.tenant_unavailable.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.tenant_unavailable);
     response.status = 503;
     response.body = "Tenant Unavailable";
   } else {
@@ -338,9 +332,9 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
 
   // Count before the write: a client that has its response in hand must
   // observe the request in stats() (tests and monitoring read it there).
-  shared_.requests_served.fetch_add(1, std::memory_order_relaxed);
+  Bump(shared_.stats.requests_served);
   if (job.reused) {
-    shared_.keepalive_reuses.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.keepalive_reuses);
   }
   done.bytes = RenderResponse(response, keep_alive);
   done.keep_alive = keep_alive;
@@ -465,7 +459,7 @@ void Shard::OnTimer(const TimerWheel::Entry& entry) {
   }
   if (conn.timer_kind == TimerKind::kRead && conn.parser.has_partial()) {
     // Slowloris guard: the request started but never finished arriving.
-    shared_.request_timeouts.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.request_timeouts);
     QueueResponse(conn, SimpleResponse(408, "Request Timeout"), false);
     conn.want_close = true;
     Flush(entry.fd, conn);
@@ -530,7 +524,7 @@ void Shard::AcceptBurst() {
             ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (doomed >= 0) {
           ::close(doomed);
-          shared_.accept_overflows.fetch_add(1, std::memory_order_relaxed);
+          Bump(shared_.stats.accept_overflows);
         }
         reserve_fd_ = OpenReserveFd();
         // A full table fails accept4 even with nothing pending, so
@@ -548,8 +542,8 @@ void Shard::AcceptBurst() {
       ::close(fd);
       continue;
     }
-    shared_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.connections_accepted);
+    Bump(stats_.connections);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
@@ -587,7 +581,7 @@ bool Shard::ReadAvailable(int fd, Conn& conn) {
               std::string_view(chunk, static_cast<std::size_t>(n)))) {
         // Size-cap guard fired (unterminated headers or declared body
         // beyond max_request_bytes).
-        shared_.oversized_requests.fetch_add(1, std::memory_order_relaxed);
+        Bump(shared_.stats.oversized_requests);
         QueueResponse(conn, SimpleResponse(413, "Payload Too Large"),
                       false);
         conn.want_close = true;
@@ -647,7 +641,7 @@ bool Shard::Advance(int fd, Conn& conn) {
 void Shard::Dispatch(int fd, Conn& conn, std::string raw) {
   if (queued_.load(std::memory_order_relaxed) >= config().queue_capacity) {
     // Bounded hand-off: refuse rather than buffer without bound.
-    shared_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared_.stats.connections_rejected);
     QueueResponse(conn, SimpleResponse(503, "overloaded"), false);
     conn.want_close = true;
     return;
@@ -667,7 +661,7 @@ void Shard::Dispatch(int fd, Conn& conn, std::string raw) {
   handlers_.Submit(std::move(job));
   conn.busy = true;
   ++in_flight_;
-  handed_off_.fetch_add(1, std::memory_order_relaxed);
+  Bump(stats_.requests);
 }
 
 void Shard::TakeCompletions() {

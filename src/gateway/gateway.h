@@ -15,9 +15,10 @@
 //     renders the response, which its shard then writes. A slow analysis
 //     therefore delays only its own request, never a shard.
 //
-// All handlers share ONE core::Joza engine — its sharded caches and atomic
-// stats make Check() safe and cheap under concurrency, and shared caches
-// are the point: traffic on any handler warms PTI verdicts for all of them.
+// All handlers share ONE core::Joza engine — its sharded caches and
+// relaxed atomic counters make Check() safe and cheap under concurrency,
+// and shared caches are the point: traffic on any handler warms PTI
+// verdicts for all of them.
 // Stop() drains gracefully: stop accepting, finish admitted requests,
 // sever idle keep-alives, join everything.
 #pragma once
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "core/joza.h"
+#include "util/counters.h"
 #include "util/status.h"
 #include "webapp/application.h"
 
@@ -80,34 +82,61 @@ struct GatewayConfig {
 
 // Per-event-loop-shard counters.
 struct ShardStats {
-  std::size_t connections = 0;  // connections this shard accepted
-  std::size_t requests = 0;     // requests it handed to the handlers
+  std::uint64_t connections = 0;  // connections this shard accepted
+  std::uint64_t requests = 0;     // requests it handed to the handlers
+
+  CounterList Counters() const;
 };
 
+inline constexpr CounterField<ShardStats> kShardCounters[] = {
+    {"connections", &ShardStats::connections},
+    {"requests", &ShardStats::requests},
+};
+static_assert(sizeof(ShardStats) ==
+              std::size(kShardCounters) * sizeof(std::uint64_t));
+
 struct GatewayStats {
-  std::size_t connections_accepted = 0;
-  std::size_t connections_rejected = 0;  // bounded-queue overflow (503)
-  std::size_t requests_served = 0;
-  std::size_t keepalive_reuses = 0;      // requests beyond a conn's first
-  std::size_t bad_requests = 0;
-  std::size_t request_timeouts = 0;      // slowloris guard fired (408)
-  std::size_t oversized_requests = 0;    // size cap fired (413)
-  std::size_t shed_by_deadline = 0;      // waited out its deadline (503)
-  std::size_t accept_overflows = 0;      // EMFILE/ENFILE accepts shed
-  std::uint64_t shed_p99_us = 0;         // p99 of shed-path handling time
+  std::uint64_t connections_accepted = 0;
+  std::uint64_t connections_rejected = 0;  // bounded-queue overflow (503)
+  std::uint64_t requests_served = 0;
+  std::uint64_t keepalive_reuses = 0;      // requests beyond a conn's first
+  std::uint64_t bad_requests = 0;
+  std::uint64_t request_timeouts = 0;      // slowloris guard fired (408)
+  std::uint64_t oversized_requests = 0;    // size cap fired (413)
+  std::uint64_t shed_by_deadline = 0;      // waited out its deadline (503)
+  std::uint64_t accept_overflows = 0;      // EMFILE/ENFILE accepts shed
+  std::uint64_t shed_p99_us = 0;           // p99 of shed-path handling time
   // Tenant routing (fleet-backed servers; 0 otherwise): requests resolved
   // to a fleet tenant, unknown-tenant refusals (404), and fail-closed
   // refusals because the tenant's engine could not be pinned (503 — the
   // memory budget could not admit it).
-  std::size_t tenant_routed = 0;
-  std::size_t tenant_404s = 0;
-  std::size_t tenant_unavailable = 0;
+  std::uint64_t tenant_routed = 0;
+  std::uint64_t tenant_404s = 0;
+  std::uint64_t tenant_unavailable = 0;
 
-  // Flattened name/value export (serving-layer counters only; engine
-  // counters come from JozaStats::Counters()), consumed by the benchmark
-  // subsystem's JSON emitter.
-  std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
+  // Name/value export in kGatewayCounters order (serving-layer counters
+  // only; engine counters come from JozaStats::Counters()).
+  CounterList Counters() const;
 };
+
+inline constexpr CounterField<GatewayStats> kGatewayCounters[] = {
+    {"connections_accepted", &GatewayStats::connections_accepted},
+    {"connections_rejected", &GatewayStats::connections_rejected},
+    {"requests_served", &GatewayStats::requests_served},
+    {"keepalive_reuses", &GatewayStats::keepalive_reuses},
+    {"bad_requests", &GatewayStats::bad_requests},
+    {"request_timeouts", &GatewayStats::request_timeouts},
+    {"oversized_requests", &GatewayStats::oversized_requests},
+    {"shed_by_deadline", &GatewayStats::shed_by_deadline},
+    {"accept_overflows", &GatewayStats::accept_overflows},
+    {"shed_p99_us", &GatewayStats::shed_p99_us},
+    {"tenant_routed", &GatewayStats::tenant_routed},
+    {"tenant_404s", &GatewayStats::tenant_404s},
+    {"tenant_unavailable", &GatewayStats::tenant_unavailable},
+};
+static_assert(sizeof(GatewayStats) ==
+                  std::size(kGatewayCounters) * sizeof(std::uint64_t),
+              "every GatewayStats field needs a row in kGatewayCounters");
 
 // Builds one handler's private Application. Called once per handler thread
 // at startup; every instance must expose the same routes/sources.
@@ -156,7 +185,6 @@ class GatewayServer {
   void Stop();
 
   int port() const { return port_; }
-  std::size_t worker_count() const;
   GatewayStats stats() const;
 
   // Event-loop shard counters (empty before Start()). Readable after

@@ -83,7 +83,7 @@ TenantRoute ResolveTenant(GatewayShared& shared, http::Request& request) {
     if (shared.config.unknown_tenant ==
         GatewayConfig::UnknownTenant::kNotFound) {
       route.not_found = true;
-      shared.tenant_404s.fetch_add(1, std::memory_order_relaxed);
+      Bump(shared.stats.tenant_404s);
       return route;
     }
     have_explicit = false;  // fall back to the default tenant
@@ -96,10 +96,10 @@ TenantRoute ResolveTenant(GatewayShared& shared, http::Request& request) {
   } else if (!shared.fleet->Has(route.id)) {
     // No default tenant registered: nothing to fall back to.
     route.not_found = true;
-    shared.tenant_404s.fetch_add(1, std::memory_order_relaxed);
+    Bump(shared.stats.tenant_404s);
     return route;
   }
-  shared.tenant_routed.fetch_add(1, std::memory_order_relaxed);
+  Bump(shared.stats.tenant_routed);
   return route;
 }
 

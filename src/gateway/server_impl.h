@@ -36,20 +36,9 @@ struct GatewayShared {
   resilience::LatencyTracker shed_latency;  // shed-path handling times
   std::atomic<bool> stopping{false};
 
-  std::atomic<std::size_t> connections_accepted{0};
-  std::atomic<std::size_t> connections_rejected{0};
-  std::atomic<std::size_t> requests_served{0};
-  std::atomic<std::size_t> keepalive_reuses{0};
-  std::atomic<std::size_t> bad_requests{0};
-  std::atomic<std::size_t> request_timeouts{0};
-  std::atomic<std::size_t> oversized_requests{0};
-  std::atomic<std::size_t> shed_by_deadline{0};
-  // EMFILE/ENFILE accepts shed via the reserve-fd parachute.
-  std::atomic<std::size_t> accept_overflows{0};
-  // Tenant routing roll-ups (fleet-backed servers only).
-  std::atomic<std::size_t> tenant_routed{0};
-  std::atomic<std::size_t> tenant_404s{0};
-  std::atomic<std::size_t> tenant_unavailable{0};
+  // Live counters, touched only through Bump and LoadCounters;
+  // shed_p99_us stays 0 here (stats() reads it from shed_latency).
+  GatewayStats stats;
 };
 
 // Outcome of tenant extraction for one parsed request.

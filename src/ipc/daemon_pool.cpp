@@ -309,6 +309,13 @@ void DaemonPool::Shutdown() {
   victims.clear();
 }
 
+CounterList DaemonPool::PoolStats::Counters() const {
+  CounterList out = ExportCounters(*this, kPoolCounters);
+  const CounterList respawns = supervisor.Counters();
+  out.insert(out.end(), respawns.begin(), respawns.end());
+  return out;
+}
+
 DaemonPool::PoolStats DaemonPool::stats() const {
   PoolStats out;
   {

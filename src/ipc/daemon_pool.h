@@ -77,23 +77,26 @@ class DaemonPool {
   };
 
   struct PoolStats {
-    std::size_t spawned = 0;    // daemons forked over the pool's lifetime
-    std::size_t replaced = 0;   // dead/hung daemons discarded mid-flight
-    std::size_t reaped = 0;     // idle daemons retired
-    std::size_t analyzed = 0;   // successful round trips
-    std::size_t failures = 0;   // round trips that failed even after retry
-    std::size_t waits = 0;      // checkouts that had to block
-    std::size_t deadline_misses = 0;  // round trips abandoned on deadline
+    std::uint64_t spawned = 0;   // daemons forked over the pool's lifetime
+    std::uint64_t replaced = 0;  // dead/hung daemons discarded mid-flight
+    std::uint64_t reaped = 0;    // idle daemons retired
+    std::uint64_t analyzed = 0;  // successful round trips
+    std::uint64_t failures = 0;  // round trips that failed even after retry
+    std::uint64_t waits = 0;     // checkouts that had to block
+    std::uint64_t deadline_misses = 0;  // round trips abandoned on deadline
     // Daemons whose handshake or update Ack reported a ruleset version
     // other than the pool's target — stale replicas, discarded on sight.
-    std::size_t version_mismatches = 0;
-    std::size_t retries_denied = 0;   // retries the budget refused
+    std::uint64_t version_mismatches = 0;
+    std::uint64_t retries_denied = 0;  // retries the budget refused
     // The pool's current target ruleset version
     // (base_version + fragment texts added).
     std::uint64_t target_version = 0;
     // Respawn-policy counters (restarts, quarantines, ...), snapshotted
     // from the supervisor.
     resilience::SupervisorStats supervisor;
+
+    // kPoolCounters, then the supervisor's counters.
+    CounterList Counters() const;
   };
 
   explicit DaemonPool(php::FragmentSet fragments)
@@ -217,5 +220,21 @@ class DaemonPool {
   std::vector<std::string> added_texts_;  // broadcast log for late joiners
   PoolStats stats_;
 };
+
+inline constexpr CounterField<DaemonPool::PoolStats> kPoolCounters[] = {
+    {"spawned", &DaemonPool::PoolStats::spawned},
+    {"replaced", &DaemonPool::PoolStats::replaced},
+    {"reaped", &DaemonPool::PoolStats::reaped},
+    {"analyzed", &DaemonPool::PoolStats::analyzed},
+    {"failures", &DaemonPool::PoolStats::failures},
+    {"waits", &DaemonPool::PoolStats::waits},
+    {"deadline_misses", &DaemonPool::PoolStats::deadline_misses},
+    {"version_mismatches", &DaemonPool::PoolStats::version_mismatches},
+    {"retries_denied", &DaemonPool::PoolStats::retries_denied},
+    {"target_version", &DaemonPool::PoolStats::target_version},
+};
+static_assert(sizeof(DaemonPool::PoolStats) ==
+              std::size(kPoolCounters) * sizeof(std::uint64_t) +
+                  sizeof(resilience::SupervisorStats));
 
 }  // namespace joza::ipc

@@ -11,6 +11,10 @@ const char* BreakerStateName(BreakerState state) {
   return "?";
 }
 
+CounterList BreakerStats::Counters() const {
+  return ExportCounters(*this, kBreakerCounters);
+}
+
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
     : options_(options) {
   if (options_.half_open_successes == 0) options_.half_open_successes = 1;

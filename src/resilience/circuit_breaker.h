@@ -15,7 +15,10 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
+
+#include "util/counters.h"
 
 namespace joza::resilience {
 
@@ -34,13 +37,26 @@ struct CircuitBreakerOptions {
 };
 
 struct BreakerStats {
-  std::size_t opens = 0;         // closed/half-open -> open transitions
-  std::size_t closes = 0;        // half-open -> closed transitions
-  std::size_t fast_rejects = 0;  // calls refused while open
-  std::size_t probes = 0;        // half-open attempts admitted
-  std::size_t failures = 0;      // recorded backend failures
-  std::size_t successes = 0;     // recorded backend successes
+  std::uint64_t opens = 0;         // closed/half-open -> open transitions
+  std::uint64_t closes = 0;        // half-open -> closed transitions
+  std::uint64_t fast_rejects = 0;  // calls refused while open
+  std::uint64_t probes = 0;        // half-open attempts admitted
+  std::uint64_t failures = 0;      // recorded backend failures
+  std::uint64_t successes = 0;     // recorded backend successes
+
+  CounterList Counters() const;
 };
+
+inline constexpr CounterField<BreakerStats> kBreakerCounters[] = {
+    {"opens", &BreakerStats::opens},
+    {"closes", &BreakerStats::closes},
+    {"fast_rejects", &BreakerStats::fast_rejects},
+    {"probes", &BreakerStats::probes},
+    {"failures", &BreakerStats::failures},
+    {"successes", &BreakerStats::successes},
+};
+static_assert(sizeof(BreakerStats) ==
+              std::size(kBreakerCounters) * sizeof(std::uint64_t));
 
 class CircuitBreaker {
  public:

@@ -13,18 +13,8 @@ const char* SupervisorStateName(SupervisorState state) {
   return "?";
 }
 
-std::vector<std::pair<const char*, std::uint64_t>> SupervisorStats::Counters()
-    const {
-  return {
-      {"supervisor_spawns_admitted", spawns_admitted},
-      {"supervisor_restarts", restarts},
-      {"supervisor_restarts_denied", restarts_denied},
-      {"supervisor_spawn_failures", spawn_failures},
-      {"supervisor_crashes", crashes},
-      {"supervisor_quarantines", quarantines},
-      {"supervisor_quarantine_probes", quarantine_probes},
-      {"supervisor_recoveries", recoveries},
-  };
+CounterList SupervisorStats::Counters() const {
+  return ExportCounters(*this, kSupervisorCounters);
 }
 
 DaemonSupervisor::DaemonSupervisor(SupervisorOptions options)

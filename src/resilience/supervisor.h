@@ -29,10 +29,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "resilience/backoff.h"
+#include "util/counters.h"
 #include "util/status.h"
 
 namespace joza::resilience {
@@ -57,18 +57,30 @@ struct SupervisorOptions {
 };
 
 struct SupervisorStats {
-  std::size_t spawns_admitted = 0;   // AdmitSpawn() == OK
-  std::size_t restarts = 0;          // admitted spawns that followed a failure
-  std::size_t restarts_denied = 0;   // refused: budget, backoff or quarantine
-  std::size_t spawn_failures = 0;    // fork/handshake that never went live
-  std::size_t crashes = 0;           // live daemons that died/hung mid-flight
-  std::size_t quarantines = 0;       // healthy/backoff -> quarantined
-  std::size_t quarantine_probes = 0; // spawns admitted to test recovery
-  std::size_t recoveries = 0;        // quarantined -> healthy
+  std::uint64_t spawns_admitted = 0;   // AdmitSpawn() == OK
+  std::uint64_t restarts = 0;          // admitted spawns after a failure
+  std::uint64_t restarts_denied = 0;   // refused: budget, backoff or quarantine
+  std::uint64_t spawn_failures = 0;    // fork/handshake that never went live
+  std::uint64_t crashes = 0;           // live daemons that died/hung mid-flight
+  std::uint64_t quarantines = 0;       // healthy/backoff -> quarantined
+  std::uint64_t quarantine_probes = 0; // spawns admitted to test recovery
+  std::uint64_t recoveries = 0;        // quarantined -> healthy
 
-  // Flattened name/value export for the benchmark subsystem.
-  std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
+  CounterList Counters() const;
 };
+
+inline constexpr CounterField<SupervisorStats> kSupervisorCounters[] = {
+    {"supervisor_spawns_admitted", &SupervisorStats::spawns_admitted},
+    {"supervisor_restarts", &SupervisorStats::restarts},
+    {"supervisor_restarts_denied", &SupervisorStats::restarts_denied},
+    {"supervisor_spawn_failures", &SupervisorStats::spawn_failures},
+    {"supervisor_crashes", &SupervisorStats::crashes},
+    {"supervisor_quarantines", &SupervisorStats::quarantines},
+    {"supervisor_quarantine_probes", &SupervisorStats::quarantine_probes},
+    {"supervisor_recoveries", &SupervisorStats::recoveries},
+};
+static_assert(sizeof(SupervisorStats) ==
+              std::size(kSupervisorCounters) * sizeof(std::uint64_t));
 
 class DaemonSupervisor {
  public:

@@ -133,15 +133,6 @@ bool Fleet::Has(std::string_view id) const {
   return tenants_.count(std::string(id)) > 0;
 }
 
-std::vector<std::string> Fleet::TenantIds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> ids;
-  ids.reserve(tenants_.size());
-  for (const auto& [id, entry] : tenants_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 double Fleet::ScoreLocked(const TenantEntry& entry) const {
   const double idle_ticks = static_cast<double>(tick_ - entry.last_touch);
   const double decayed = entry.ewma * std::pow(kEwmaDecay, idle_ticks);
@@ -176,10 +167,10 @@ void Fleet::DemoteLocked(TenantEntry& entry) {
   entry.bytes_estimate = EstimateHotBytes(entry.fragments, options_.engine);
   entry.accum += entry.hot->engine->stats();
   entry.hot.reset();  // in-flight pins keep the engine alive (RCU)
-  resident_bytes_ -= entry.charged_bytes;
+  stats_.resident_bytes -= entry.charged_bytes;
   entry.charged_bytes = 0;
   ++entry.demotions;
-  ++demotions_;
+  ++stats_.demotions;
 }
 
 Status Fleet::ReserveLocked(const TenantEntry& self, std::uint64_t need) {
@@ -188,7 +179,7 @@ Status Fleet::ReserveLocked(const TenantEntry& self, std::uint64_t need) {
   // Only resident tenants can be demoted; the rest of the ledger is held by
   // promotions in flight. When even an empty resident set leaves no room,
   // refuse before demoting anyone.
-  std::uint64_t in_flight = resident_bytes_;
+  std::uint64_t in_flight = stats_.resident_bytes;
   for (const auto& [id, entry] : tenants_) {
     if (entry->hot) in_flight -= entry->charged_bytes;
   }
@@ -199,7 +190,9 @@ Status Fleet::ReserveLocked(const TenantEntry& self, std::uint64_t need) {
         " of " + std::to_string(budget) + " held by promotions in flight)");
   }
   // Resident charges exceed what is missing, so a victim always exists.
-  while (resident_bytes_ + need > budget) DemoteLocked(*PickVictimLocked());
+  while (stats_.resident_bytes + need > budget) {
+    DemoteLocked(*PickVictimLocked());
+  }
   return Status::Ok();
 }
 
@@ -244,7 +237,7 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
   entry.ewma = entry.ewma * std::pow(kEwmaDecay, idle_ticks) + 1.0;
   entry.last_touch = now;
   ++entry.requests;
-  ++requests_;
+  ++stats_.requests;
 
   for (;;) {
     if (entry.hot) {
@@ -255,7 +248,7 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
     if (!entry.promoting) break;
     // Stampede coalescing: exactly one thread rebuilds; the rest wait for
     // its publish instead of racing duplicate automaton builds.
-    ++promote_waits_;
+    ++stats_.promote_waits;
     cv_.wait(lock);
   }
 
@@ -264,7 +257,7 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
   // not a fork-bomb of automaton constructions.
   entry.promoting = true;
   while (active_promotions_ >= kMaxConcurrentPromotions) {
-    ++promote_waits_;
+    ++stats_.promote_waits;
     cv_.wait(lock);
   }
   ++active_promotions_;
@@ -273,16 +266,17 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
   if (Status reserved = ReserveLocked(entry, need); !reserved.ok()) {
     --active_promotions_;
     entry.promoting = false;
-    ++acquire_failures_;
+    ++stats_.acquire_failures;
     cv_.notify_all();
     return reserved;
   }
   // Charge the ledger before building so a racing promoter sees the
   // reservation and evicts accordingly; the budget invariant holds at
   // every instant, not just between promotions.
-  resident_bytes_ += need;
+  stats_.resident_bytes += need;
   entry.charged_bytes = need;
-  peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
+  stats_.peak_resident_bytes =
+      std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
 
   lock.unlock();
   std::shared_ptr<EngineHandle> built = BuildHandle(entry);
@@ -296,7 +290,7 @@ StatusOr<Fleet::EnginePin> Fleet::Acquire(std::string_view id) {
     entry.pending_snapshot_load = false;
   }
   ++entry.cold_loads;
-  ++cold_loads_;
+  ++stats_.cold_loads;
   cv_.notify_all();
   return EnginePin(entry.hot, entry.hot->engine.get());
 }
@@ -343,21 +337,22 @@ void Fleet::ReapIdle() {
   for (const auto& handle : handles) handle->pool->ReapIdle();
 }
 
+CounterList TenantInfo::Counters() const {
+  return ExportCounters(*this, kTenantCounters);
+}
+
+CounterList FleetStats::Counters() const {
+  return ExportCounters(*this, kFleetCounters);
+}
+
 FleetStats Fleet::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  FleetStats out;
+  FleetStats out = stats_;
   out.tenants = tenants_.size();
   for (const auto& [id, entry] : tenants_) {
     if (entry->hot) ++out.resident;
   }
   out.budget_bytes = options_.memory_budget_bytes;
-  out.resident_bytes = resident_bytes_;
-  out.peak_resident_bytes = peak_resident_bytes_;
-  out.requests = requests_;
-  out.cold_loads = cold_loads_;
-  out.demotions = demotions_;
-  out.promote_waits = promote_waits_;
-  out.acquire_failures = acquire_failures_;
   return out;
 }
 

@@ -97,11 +97,22 @@ struct TenantInfo {
   std::uint64_t cold_loads = 0;      // promotions (first touch + re-entry)
   std::uint64_t demotions = 0;
   core::JozaStats engine;  // accumulated across residency generations
+
+  // The numeric fields above, in kTenantCounters order.
+  CounterList Counters() const;
+};
+
+inline constexpr CounterField<TenantInfo> kTenantCounters[] = {
+    {"ruleset_version", &TenantInfo::ruleset_version},
+    {"resident_bytes", &TenantInfo::resident_bytes},
+    {"requests", &TenantInfo::requests},
+    {"cold_loads", &TenantInfo::cold_loads},
+    {"demotions", &TenantInfo::demotions},
 };
 
 struct FleetStats {
-  std::size_t tenants = 0;
-  std::size_t resident = 0;
+  std::uint64_t tenants = 0;
+  std::uint64_t resident = 0;
   std::uint64_t budget_bytes = 0;
   std::uint64_t resident_bytes = 0;       // current ledger total
   std::uint64_t peak_resident_bytes = 0;  // high-water mark of the ledger
@@ -110,7 +121,24 @@ struct FleetStats {
   std::uint64_t demotions = 0;
   std::uint64_t promote_waits = 0;     // stampede-coalesced + gate waits
   std::uint64_t acquire_failures = 0;  // budget refusals
+
+  CounterList Counters() const;
 };
+
+inline constexpr CounterField<FleetStats> kFleetCounters[] = {
+    {"tenants", &FleetStats::tenants},
+    {"resident", &FleetStats::resident},
+    {"budget_bytes", &FleetStats::budget_bytes},
+    {"resident_bytes", &FleetStats::resident_bytes},
+    {"peak_resident_bytes", &FleetStats::peak_resident_bytes},
+    {"requests", &FleetStats::requests},
+    {"cold_loads", &FleetStats::cold_loads},
+    {"demotions", &FleetStats::demotions},
+    {"promote_waits", &FleetStats::promote_waits},
+    {"acquire_failures", &FleetStats::acquire_failures},
+};
+static_assert(sizeof(FleetStats) ==
+              std::size(kFleetCounters) * sizeof(std::uint64_t));
 
 class Fleet {
  public:
@@ -132,7 +160,6 @@ class Fleet {
   Status AddTenant(std::string_view id, php::FragmentSet seed);
 
   bool Has(std::string_view id) const;
-  std::vector<std::string> TenantIds() const;
 
   // Routes one request to `id`: bumps its access stats and returns a pin
   // on its hot engine, promoting — and demoting victims — as needed.
@@ -199,14 +226,9 @@ class Fleet {
   std::uint64_t tick_ = 0;  // advances per Acquire; drives EWMA decay
   std::size_t active_promotions_ = 0;
 
-  // Ledger (all guarded by mu_).
-  std::uint64_t resident_bytes_ = 0;
-  std::uint64_t peak_resident_bytes_ = 0;
-  std::uint64_t requests_ = 0;
-  std::uint64_t cold_loads_ = 0;
-  std::uint64_t demotions_ = 0;
-  std::uint64_t promote_waits_ = 0;
-  std::uint64_t acquire_failures_ = 0;
+  // Ledger and counters (guarded by mu_); stats() fills in tenants,
+  // resident and budget_bytes.
+  FleetStats stats_;
 };
 
 }  // namespace joza::tenant

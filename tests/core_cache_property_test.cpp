@@ -11,6 +11,7 @@
 #include "attack/payload_gen.h"
 #include "attack/workload.h"
 #include "core/joza.h"
+#include "db/value.h"
 #include "gateway/client.h"
 #include "pti/pti.h"
 #include "sqlparse/structure.h"
@@ -118,6 +119,58 @@ TEST(StructureCacheEndToEnd, CommentTruncatedAdRotateIsBlocked) {
             500);
   EXPECT_EQ(joza.stats().attacks_detected, 1u);
   app->SetQueryGate(nullptr);
+}
+
+// The restricting-clause pair: /published shows a post only while it is
+// published, /post-any shows any post. Both shapes are cached by one benign
+// request each; then `<draft id> -- ` comments /published's status filter
+// away, truncating its query onto /post-any's cached shape. The draft must
+// stay hidden, also from an attacker NTI cannot see.
+void ExpectTruncatedStatusFilterHidesDraft(JozaConfig config) {
+  auto app = attack::MakeTestbed();
+  constexpr std::int64_t kDraftId = 9001;
+  const std::string kDraftTitle = "Unreleased draft 9001";
+  ASSERT_TRUE(app->database()
+                  .InsertRow("wp_posts",
+                             {db::Value(kDraftId), db::Value(kDraftTitle),
+                              db::Value(std::string("draft body")),
+                              db::Value(std::string("draft")),
+                              db::Value(std::int64_t{0})})
+                  .ok());
+  webapp::Endpoint published{"/published", "id", {},
+                             "SELECT id, title FROM wp_posts WHERE id = ",
+                             " AND post_status = 'publish'"};
+  webapp::Endpoint any{"/post-any", "id", {},
+                       "SELECT id, title FROM wp_posts WHERE id = ", ""};
+  app->AddEndpoint(published, "wp-content/plugins/pair/published.php");
+  app->AddEndpoint(any, "wp-content/plugins/pair/any.php");
+  Joza joza = Joza::Install(*app, config);
+  app->SetQueryGate(joza.MakeGate());
+
+  for (const char* path : {"/published", "/post-any"}) {
+    const http::Response benign =
+        app->Handle(http::Request::Get(path, {{"id", "7"}}));
+    EXPECT_EQ(benign.status, 200) << path;
+    EXPECT_NE(benign.body.find("<li>7 | "), std::string::npos) << path;
+  }
+  EXPECT_EQ(joza.stats().attacks_detected, 0u);
+
+  const http::Response attack = app->Handle(http::Request::Get(
+      "/published", {{"id", std::to_string(kDraftId) + " -- "}}));
+  EXPECT_EQ(attack.status, 500);
+  EXPECT_EQ(attack.body.find(kDraftTitle), std::string::npos) << attack.body;
+  EXPECT_EQ(joza.stats().attacks_detected, 1u);
+  app->SetQueryGate(nullptr);
+}
+
+TEST(StructureCacheEndToEnd, TruncatedStatusFilterHidesDraftWithoutNti) {
+  JozaConfig config;
+  config.enable_nti = false;
+  ExpectTruncatedStatusFilterHidesDraft(config);
+}
+
+TEST(StructureCacheEndToEnd, TruncatedStatusFilterHidesDraftWithDefaults) {
+  ExpectTruncatedStatusFilterHidesDraft(JozaConfig{});
 }
 
 // One gated query with the inputs of the request that issued it.

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,29 +33,20 @@ constexpr std::size_t kThreads = 8;
 // ShardedSafetyCache
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSafetyCache, UnboundedNeverEvicts) {
-  core::ShardedSafetyCache cache(/*capacity=*/0, /*shards=*/4);
-  for (std::uint64_t h = 0; h < 10000; ++h) cache.Insert(h);
-  EXPECT_EQ(cache.size(), 10000u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  for (std::uint64_t h = 0; h < 10000; ++h) EXPECT_TRUE(cache.Lookup(h));
-}
-
 TEST(ShardedSafetyCache, BoundedStaysWithinCapacity) {
-  // (capacity, shards): the last two ask for more shards than slots.
-  const std::pair<std::size_t, std::size_t> cases[] = {
-      {256, 8}, {4, 16}, {15, 16}};
-  for (const auto& [capacity, shards] : cases) {
-    core::ShardedSafetyCache cache(capacity, shards);
+  // The last two have fewer slots than kShards.
+  for (const std::size_t capacity : {256, 4, 15}) {
+    core::ShardedSafetyCache cache(capacity);
     for (std::uint64_t h = 0; h < 100000; ++h) cache.Insert(h);
-    EXPECT_LE(cache.size(), capacity) << capacity << "/" << shards;
-    EXPECT_GT(cache.evictions(), 0u) << capacity << "/" << shards;
+    EXPECT_LE(cache.size(), capacity) << capacity;
+    EXPECT_GT(cache.evictions(), 0u) << capacity;
   }
 }
 
 TEST(ShardedSafetyCache, ClockKeepsHotEntriesResident) {
-  // One shard so the clock hand sweeps a single ring deterministically.
-  core::ShardedSafetyCache cache(/*capacity=*/64, /*shards=*/1);
+  // The hot entry shares its shard's 4-slot ring (64 slots over 16 shards)
+  // with every key hashed there, so the clock hand keeps passing it.
+  core::ShardedSafetyCache cache(/*capacity=*/64);
   const std::uint64_t hot = 42;
   cache.Insert(hot);
   for (std::uint64_t h = 1000; h < 5000; ++h) {
@@ -64,7 +56,7 @@ TEST(ShardedSafetyCache, ClockKeepsHotEntriesResident) {
 }
 
 TEST(ShardedSafetyCache, ClearDropsEverything) {
-  core::ShardedSafetyCache cache(/*capacity=*/128, /*shards=*/4);
+  core::ShardedSafetyCache cache(/*capacity=*/128);
   for (std::uint64_t h = 0; h < 100; ++h) cache.Insert(h);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -72,7 +64,7 @@ TEST(ShardedSafetyCache, ClearDropsEverything) {
 }
 
 TEST(ShardedSafetyCache, ConcurrentInsertLookupIsRaceFree) {
-  core::ShardedSafetyCache cache(/*capacity=*/1024, /*shards=*/16);
+  core::ShardedSafetyCache cache(/*capacity=*/1024);
   std::vector<std::thread> threads;
   std::atomic<std::size_t> hits{0};
   for (std::size_t t = 0; t < kThreads; ++t) {
@@ -106,6 +98,74 @@ TEST(JozaStats, AggregatesAcrossSnapshots) {
   EXPECT_EQ(a.queries_checked, 15u);
   EXPECT_EQ(a.attacks_detected, 2u);
   EXPECT_EQ(a.nti_runs, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Counter tables: export names, roll-up, and reads while counting
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> Names(const CounterList& counters) {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : counters) names.emplace_back(name);
+  return names;
+}
+
+// Counts the counters that read lower than at the previous poll. Every
+// counter only grows, so a relaxed reader must never see one go back.
+// shed_p99_us is a quantile, not a counter.
+std::size_t CountDecreases(const CounterList& before,
+                           const CounterList& after) {
+  std::size_t decreases = 0;
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (std::string_view(after[i].first) == "shed_p99_us") continue;
+    if (after[i].second < before[i].second) ++decreases;
+  }
+  return decreases;
+}
+
+TEST(CounterTables, JozaStatsExportKeepsItsNamesInOrder) {
+  // servebench reads these by name and BENCH_smoke.json pins engine.*.
+  const std::vector<std::string> expected = {
+      "queries_checked", "attacks_detected", "query_cache_hits",
+      "structure_cache_hits", "pti_full_runs", "nti_runs", "nti_exact_hits",
+      "nti_seed_candidates", "nti_dp_runs", "nti_tier_reference",
+      "nti_tier_bounded", "nti_tier_staged", "cache_evictions",
+      "pti_failures", "breaker_fast_rejects", "degraded_checks",
+      "degraded_blocks", "ruleset_version", "ruleset_swaps", "snapshot_saves",
+      "snapshot_save_failures", "snapshot_loads"};
+  EXPECT_EQ(Names(core::JozaStats{}.Counters()), expected);
+}
+
+TEST(CounterTables, GatewayStatsExportKeepsItsNamesInOrder) {
+  const std::vector<std::string> expected = {
+      "connections_accepted", "connections_rejected", "requests_served",
+      "keepalive_reuses", "bad_requests", "request_timeouts",
+      "oversized_requests", "shed_by_deadline", "accept_overflows",
+      "shed_p99_us", "tenant_routed", "tenant_404s", "tenant_unavailable"};
+  EXPECT_EQ(Names(gateway::GatewayStats{}.Counters()), expected);
+}
+
+TEST(CounterTables, JozaRollUpSumsEveryCounterAndKeepsTheNewestVersion) {
+  // Row i holds i + 1 on one side and 100 * (i + 1) on the other.
+  core::JozaStats small;
+  core::JozaStats large;
+  for (std::size_t i = 0; i < std::size(core::kJozaCounters); ++i) {
+    small.*core::kJozaCounters[i].field = i + 1;
+    large.*core::kJozaCounters[i].field = 100 * (i + 1);
+  }
+  core::JozaStats small_first = small;
+  small_first += large;
+  core::JozaStats large_first = large;
+  large_first += small;
+  const CounterList sums[] = {small_first.Counters(), large_first.Counters()};
+  for (const CounterList& sum : sums) {
+    ASSERT_EQ(sum.size(), std::size(core::kJozaCounters));
+    for (std::size_t i = 0; i < sum.size(); ++i) {
+      const bool version = std::string_view(sum[i].first) == "ruleset_version";
+      EXPECT_EQ(sum[i].second, (version ? 100 : 101) * (i + 1))
+          << sum[i].first;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,6 +245,56 @@ TEST(ConcurrentJoza, EightThreadsSharedEngineVerdictsAndStats) {
   EXPECT_GT(stats.query_cache_hits + stats.structure_cache_hits, 0u);
 }
 
+TEST(ConcurrentJoza, StatsReadableWhileChecking) {
+  auto app = attack::MakeTestbed();
+  core::Joza joza = core::Joza::Install(*app);
+  const std::vector<TrafficItem> traffic = MakeMixedTraffic();
+  const std::size_t attacks_per_pass = static_cast<std::size_t>(
+      std::count_if(traffic.begin(), traffic.end(),
+                    [](const TrafficItem& item) { return item.is_attack; }));
+  constexpr std::size_t kRounds = 30;
+
+  std::atomic<bool> checking{true};
+  std::size_t polls = 0;
+  std::size_t decreases = 0;
+  std::thread poller([&] {
+    CounterList last = joza.stats().Counters();
+    while (checking.load()) {
+      CounterList now = joza.stats().Counters();
+      decreases += CountDecreases(last, now);
+      last = std::move(now);
+      ++polls;
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> checkers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    checkers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < traffic.size(); ++i) {
+          const TrafficItem& item = traffic[(i + t * 7) % traffic.size()];
+          joza.Check(item.query, item.inputs);
+        }
+      }
+    });
+  }
+  for (auto& th : checkers) th.join();
+  checking.store(false);
+  poller.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(decreases, 0u) << "a counter read lower than an earlier poll";
+  const core::JozaStats stats = joza.stats();
+  const std::size_t checks = kThreads * kRounds * traffic.size();
+  EXPECT_EQ(stats.queries_checked, checks);
+  EXPECT_EQ(stats.nti_runs, checks);
+  EXPECT_EQ(stats.attacks_detected, kThreads * kRounds * attacks_per_pass);
+  // Each check is a query-cache hit, a structure-cache hit or a PTI run.
+  EXPECT_EQ(stats.query_cache_hits + stats.structure_cache_hits +
+                stats.pti_full_runs,
+            checks);
+}
+
 TEST(ConcurrentJoza, AttackSinkSequencesAreUniqueUnderConcurrency) {
   auto app = attack::MakeTestbed();
   core::Joza joza = core::Joza::Install(*app);
@@ -216,24 +326,23 @@ TEST(ConcurrentJoza, BoundedCachePreservesVerdictsInSingleThread) {
   auto app = attack::MakeTestbed();
   core::JozaConfig tiny;
   tiny.cache_capacity = 8;
-  tiny.cache_shards = 2;
   // The benign family shares one AST shape; without this the structure
   // cache absorbs it and the tiny query cache never feels pressure.
   tiny.structure_cache = false;
   core::Joza bounded = core::Joza::Install(*app, tiny);
-  core::Joza unbounded = core::Joza::Install(*app);
+  core::Joza roomy = core::Joza::Install(*app);  // default capacity
 
   const std::vector<TrafficItem> traffic = MakeMixedTraffic();
   for (int round = 0; round < 3; ++round) {
     for (const TrafficItem& item : traffic) {
       core::Verdict vb = bounded.Check(item.query, item.inputs);
-      core::Verdict vu = unbounded.Check(item.query, item.inputs);
+      core::Verdict vu = roomy.Check(item.query, item.inputs);
       EXPECT_EQ(vb.attack, vu.attack) << item.query;
       EXPECT_EQ(vb.attack, item.is_attack) << item.query;
     }
   }
   EXPECT_GT(bounded.stats().cache_evictions, 0u);
-  EXPECT_EQ(unbounded.stats().cache_evictions, 0u);
+  EXPECT_EQ(roomy.stats().cache_evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -838,6 +947,66 @@ TEST(GatewayServer, ShardCountersSumToRequestsServed) {
     shard_requests += shard.requests;
   }
   EXPECT_EQ(shard_requests, 10u);
+}
+
+TEST(GatewayServer, StatsReadableWhileServing) {
+  auto proto = attack::MakeTestbed();
+  core::Joza joza = core::Joza::Install(*proto);
+  gateway::GatewayConfig gcfg;
+  gcfg.workers = 4;
+  gateway::GatewayServer server([] { return attack::MakeTestbed(); }, &joza,
+                                gcfg);
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kPerClient = 25;
+  std::atomic<bool> serving{true};
+  std::size_t polls = 0;
+  std::size_t decreases = 0;
+  std::thread poller([&] {
+    CounterList last = server.stats().Counters();
+    while (serving.load()) {
+      CounterList now = server.stats().Counters();
+      decreases += CountDecreases(last, now);
+      last = std::move(now);
+      ++polls;
+      std::this_thread::yield();
+    }
+  });
+  std::atomic<std::size_t> answered{0};
+  std::atomic<std::size_t> reconnects{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      gateway::KeepAliveClient client(port.value());
+      for (std::size_t i = 0; i < kPerClient; ++i) {
+        auto r = client.Get("/post?id=" + std::to_string((c + i) % 50 + 1));
+        if (r.ok() && r->status == 200) answered.fetch_add(1);
+      }
+      reconnects.fetch_add(client.reconnects());
+    });
+  }
+  for (auto& th : clients) th.join();
+  serving.store(false);
+  poller.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(decreases, 0u) << "a counter read lower than an earlier poll";
+  const std::size_t requests = kClients * kPerClient;
+  EXPECT_EQ(answered.load(), requests);
+  const gateway::GatewayStats stats = server.stats();
+  EXPECT_EQ(stats.requests_served, requests);
+  EXPECT_EQ(stats.connections_accepted, kClients + reconnects.load());
+  EXPECT_EQ(stats.keepalive_reuses, requests - stats.connections_accepted);
+  EXPECT_EQ(stats.bad_requests, 0u);
+  EXPECT_EQ(stats.connections_rejected, 0u);
+  server.Stop();
+  std::size_t shard_requests = 0;
+  for (const gateway::ShardStats& shard : server.shard_stats()) {
+    shard_requests += shard.requests;
+  }
+  EXPECT_EQ(shard_requests, requests);
 }
 
 }  // namespace

@@ -14,7 +14,10 @@
 // engine across the whole handler pool, and serves until the duration
 // elapses (0 = forever, until SIGINT/SIGTERM). With --pti pool, PTI
 // analysis runs out-of-process through the daemon pool, the deployment
-// shape Section IV-C1 describes. Prints engine + gateway stats on exit.
+// shape Section IV-C1 describes. On exit it prints one "<source>.<name>
+// <value>" line per counter (engine, gateway, shards, breaker or fleet and
+// tenants, pool), beside the degraded mode and the breaker, supervisor and
+// tenant state names.
 //
 // Serving: --event-shards edge-triggered event-loop shards (default:
 // hardware threads, must be >= 1), each owning its own SO_REUSEPORT accept
@@ -49,8 +52,9 @@
 // tenant persists to and warm-starts from <path>.<tenant>; the
 // single-engine gateway does the same as the default tenant.
 //
-// Exit codes: 0 success, 2 config/usage parse failure (including a tenant
-// larger than the whole --memory-budget-mb), 3 bind/listen failure.
+// Exit codes: 0 success, 2 config/usage parse failure (including
+// --cache-capacity 0 and a tenant larger than the whole --memory-budget-mb),
+// 3 bind/listen failure.
 #include <csignal>
 
 #include <atomic>
@@ -74,6 +78,7 @@
 #include "resilience/snapshot.h"
 #include "resilience/supervisor.h"
 #include "tenant/fleet.h"
+#include "util/counters.h"
 
 namespace {
 
@@ -121,7 +126,7 @@ int main(int argc, char** argv) {
 
   int port = 0;
   std::size_t workers = 4;
-  std::size_t cache_capacity = 1 << 16;
+  std::size_t cache_capacity = core::JozaConfig{}.cache_capacity;
   std::size_t event_shards = std::thread::hardware_concurrency();
   if (event_shards == 0) event_shards = 1;
   std::size_t pool_size = 4;
@@ -151,6 +156,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache-capacity") == 0 &&
                (value = next())) {
       cache_capacity = static_cast<std::size_t>(std::atol(value));
+      if (cache_capacity == 0) {
+        std::fprintf(stderr, "--cache-capacity must be >= 1\n");
+        return UsageError(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--event-shards") == 0 &&
                (value = next())) {
       event_shards = static_cast<std::size_t>(std::atol(value));
@@ -361,9 +370,10 @@ int main(int argc, char** argv) {
   std::printf("serving:      %zu event shards, %zu handler threads\n",
               server->shard_count(), workers);
   if (fleet) {
-    std::printf("fleet:        %zu tenants, budget %ld MB, "
+    std::printf("fleet:        %llu tenants, budget %ld MB, "
                 "unknown-tenant %s\n",
-                fleet->TenantIds().size(), memory_budget_mb,
+                static_cast<unsigned long long>(fleet->stats().tenants),
+                memory_budget_mb,
                 unknown_tenant ==
                         gateway::GatewayConfig::UnknownTenant::kNotFound
                     ? "404"
@@ -427,97 +437,41 @@ int main(int argc, char** argv) {
   }
 
   server->Stop();
-  const gateway::GatewayStats gs = server->stats();
-  const core::JozaStats js = fleet ? fleet->AggregateEngineStats()
-                                   : joza.stats();
-  std::printf("\nconnections: %zu accepted, %zu rejected (503)\n",
-              gs.connections_accepted, gs.connections_rejected);
-  std::printf("requests:    %zu served, %zu keep-alive reuses, %zu bad, "
-              "%zu timeouts (408), %zu oversized (413)\n",
-              gs.requests_served, gs.keepalive_reuses, gs.bad_requests,
-              gs.request_timeouts, gs.oversized_requests);
-  std::printf("shedding:    %zu shed by deadline (503), shed p99 %llu us\n",
-              gs.shed_by_deadline,
-              static_cast<unsigned long long>(gs.shed_p99_us));
-  std::printf("io:          %zu accept overflows\n", gs.accept_overflows);
+  // Shutdown dump: one "<source>.<name> <value>" line per counter, beside
+  // the state names.
+  auto dump = [](const std::string& source, const CounterList& counters) {
+    for (const auto& [name, value] : counters) {
+      std::printf("%s.%s %llu\n", source.c_str(), name,
+                  static_cast<unsigned long long>(value));
+    }
+  };
+  std::printf("\nengine.degraded_mode %s\n",
+              core::DegradedModeName(degraded_mode));
+  dump("engine",
+       (fleet ? fleet->AggregateEngineStats() : joza.stats()).Counters());
+  dump("gateway", server->stats().Counters());
   const std::vector<gateway::ShardStats> shards = server->shard_stats();
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    const gateway::ShardStats& sh = shards[s];
-    std::printf("shard %zu:     %zu conns, %zu requests handed off\n", s,
-                sh.connections, sh.requests);
+    dump("shard" + std::to_string(s), shards[s].Counters());
   }
-  std::printf("joza:        %zu queries, %zu attacks blocked, "
-              "%zu+%zu cache hits, %zu evictions\n",
-              js.queries_checked, js.attacks_detected, js.query_cache_hits,
-              js.structure_cache_hits, js.cache_evictions);
-  std::printf("ruleset:     version %llu, %zu snapshot swaps\n",
-              static_cast<unsigned long long>(js.ruleset_version),
-              js.ruleset_swaps);
-  std::printf("snapshots:   %zu saves, %zu save failures, %zu loads\n",
-              js.snapshot_saves, js.snapshot_save_failures,
-              js.snapshot_loads);
   if (fleet) {
-    const tenant::FleetStats fs = fleet->stats();
-    std::printf("fleet:       %zu tenants (%zu resident), "
-                "%llu/%llu bytes (peak %llu), %llu cold loads, "
-                "%llu demotions, %llu waits, %llu acquire failures\n",
-                fs.tenants, fs.resident,
-                static_cast<unsigned long long>(fs.resident_bytes),
-                static_cast<unsigned long long>(fs.budget_bytes),
-                static_cast<unsigned long long>(fs.peak_resident_bytes),
-                static_cast<unsigned long long>(fs.cold_loads),
-                static_cast<unsigned long long>(fs.demotions),
-                static_cast<unsigned long long>(fs.promote_waits),
-                static_cast<unsigned long long>(fs.acquire_failures));
-    std::printf("routing:     %zu routed, %zu unknown-tenant (404), "
-                "%zu unavailable (503)\n",
-                gs.tenant_routed, gs.tenant_404s, gs.tenant_unavailable);
+    dump("fleet", fleet->stats().Counters());
     for (const tenant::TenantInfo& ti : fleet->TenantInfos()) {
-      std::printf("tenant %-18s %s v%-4llu %10llu B, %llu reqs, "
-                  "%llu cold loads, %llu demotions, %zu checked, "
-                  "%zu blocked\n",
-                  ti.id.c_str(), ti.resident ? "hot " : "cold",
-                  static_cast<unsigned long long>(ti.ruleset_version),
-                  static_cast<unsigned long long>(ti.resident_bytes),
-                  static_cast<unsigned long long>(ti.requests),
-                  static_cast<unsigned long long>(ti.cold_loads),
-                  static_cast<unsigned long long>(ti.demotions),
-                  ti.engine.queries_checked, ti.engine.attacks_detected);
+      std::printf("tenant.%s.state %s\n", ti.id.c_str(),
+                  ti.resident ? "hot" : "cold");
+      dump("tenant." + ti.id, ti.Counters());
+      dump("tenant." + ti.id + ".engine", ti.engine.Counters());
     }
-  }
-  std::printf("nti match:   %zu exact hits, %zu seed candidates, %zu DP runs; "
-              "tiers %zu ref / %zu bounded / %zu staged\n",
-              js.nti_exact_hits, js.nti_seed_candidates, js.nti_dp_runs,
-              js.nti_tier_reference, js.nti_tier_bounded, js.nti_tier_staged);
-  std::printf("degraded:    mode %s, %zu pti failures, %zu degraded checks, "
-              "%zu degraded blocks, %zu breaker fast-rejects\n",
-              core::DegradedModeName(degraded_mode), js.pti_failures,
-              js.degraded_checks, js.degraded_blocks,
-              js.breaker_fast_rejects);
-  if (!fleet) {
-    // Per-engine breaker state; fleet tenants each own one.
-    const auto bs = joza.breaker().stats();
-    std::printf("breaker:     state %s, %zu opens, %zu closes, %zu probes\n",
-                resilience::BreakerStateName(joza.breaker().state()),
-                bs.opens, bs.closes, bs.probes);
+  } else {
+    // Per-engine breaker; fleet tenants each own one.
+    std::printf("breaker.state %s\n",
+                resilience::BreakerStateName(joza.breaker().state()));
+    dump("breaker", joza.breaker().stats().Counters());
   }
   if (pool) {
-    const auto ps = pool->stats();
-    std::printf("pti pool:    %zu analyzed, %zu spawned, %zu replaced, "
-                "%zu failures, %zu deadline misses, %zu retries denied\n",
-                ps.analyzed, ps.spawned, ps.replaced, ps.failures,
-                ps.deadline_misses, ps.retries_denied);
-    std::printf("pti pool:    target version %llu, %zu version mismatches\n",
-                static_cast<unsigned long long>(ps.target_version),
-                ps.version_mismatches);
-    std::printf("supervisor:  state %s, %zu restarts, %zu denied, "
-                "%zu spawn failures, %zu crashes\n",
-                resilience::SupervisorStateName(pool->supervisor_state()),
-                ps.supervisor.restarts, ps.supervisor.restarts_denied,
-                ps.supervisor.spawn_failures, ps.supervisor.crashes);
-    std::printf("supervisor:  %zu quarantines, %zu probes, %zu recoveries\n",
-                ps.supervisor.quarantines, ps.supervisor.quarantine_probes,
-                ps.supervisor.recoveries);
+    std::printf("pool.supervisor_state %s\n",
+                resilience::SupervisorStateName(pool->supervisor_state()));
+    dump("pool", pool->stats().Counters());
     pool->Shutdown();
   }
   return 0;
