@@ -9,9 +9,9 @@ const std::vector<SuiteSpec>& Suites() {
       {"smoke",
        "CI gate: NTI matcher tiers + verdict parity + engine workload",
        RunSmokeSuite},
-      {"benign_wp",
-       "WordPress.com-shaped benign mixes: protection overhead + caches",
-       RunBenignWpSuite},
+      {"paper",
+       "paper timing rows (Tables V/VI, Fig. 8, VI-C, crawl): matched A/B",
+       RunPaperSuite},
       {"churn",
        "concurrent gateway under ruleset snapshot churn + consistency",
        RunChurnSuite},

@@ -1,80 +1,44 @@
-// Application-serving timing helpers shared by the in-process benches and
-// suites (formerly bench/perf_util.h). Header-only: these sit on top of
-// webapp::Application, which the measurement layer itself must not depend
-// on.
+// The served request shape and the gateway handler's per-request engine
+// scope, shared by the in-process suites. Header-only: these sit on top of
+// webapp::Application and the gateway's wire format, which the measurement
+// layer itself must not depend on.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "attack/workload.h"
-#include "util/stopwatch.h"
+#include "core/joza.h"
+#include "gateway/client.h"
+#include "http/request.h"
 #include "webapp/application.h"
 
 namespace joza::benchkit {
 
-// Serves the workload once; returns wall seconds.
-inline double ServeOnce(webapp::Application& app,
-                        const std::vector<attack::WorkloadRequest>& workload) {
-  Stopwatch watch;
+// Each request round-trips through the wire format a gateway parses, so it
+// carries the Host and Connection inputs (and any cookie) a served request
+// does.
+inline std::vector<http::Request> ServedRequests(
+    const std::vector<attack::WorkloadRequest>& workload) {
+  std::vector<http::Request> requests;
+  requests.reserve(workload.size());
   for (const attack::WorkloadRequest& wr : workload) {
-    app.Handle(wr.request);
+    StatusOr<http::Request> parsed = http::ParseRawRequest(
+        gateway::SerializeRequest(wr.request, /*keep_alive=*/true));
+    if (parsed.ok()) requests.push_back(std::move(parsed).value());
   }
-  return watch.ElapsedSeconds();
+  return requests;
 }
 
-// Best-of-N timing to suppress scheduler noise.
-inline double ServeBest(webapp::Application& app,
-                        const std::vector<attack::WorkloadRequest>& workload,
-                        int repetitions = 5) {
-  double best = 1e100;
-  for (int i = 0; i < repetitions; ++i) {
-    best = std::min(best, ServeOnce(app, workload));
-  }
-  return best;
-}
-
-inline double Overhead(double plain, double protected_time) {
-  return (protected_time - plain) / plain;
-}
-
-// Serves `reps` *distinct* workloads once each and returns the total wall
-// seconds. Real write traffic is textually unique; replaying one workload
-// would let the query cache absorb writes it could never cache in
-// production. The same seeds must be used for the plain and protected
-// measurements.
-template <typename MakeWorkload>
-double ServeFreshTotal(webapp::Application& app, MakeWorkload&& make,
-                       int reps, std::uint64_t seed_base) {
-  double total = 0;
-  for (int i = 0; i < reps; ++i) {
-    const auto workload = make(seed_base + static_cast<std::uint64_t>(i));
-    total += ServeOnce(app, workload);
-  }
-  return total;
-}
-
-// Interleaved plain/protected measurement over fresh workloads: each
-// repetition serves the same workload to both applications back to back,
-// so machine-load drift hits both sides equally.
-struct PairTiming {
-  double plain = 0;
-  double protected_time = 0;
-  double overhead() const { return Overhead(plain, protected_time); }
-};
-
-template <typename MakeWorkload>
-PairTiming MeasurePair(webapp::Application& plain_app,
-                       webapp::Application& protected_app, MakeWorkload&& make,
-                       int reps, std::uint64_t seed_base) {
-  PairTiming t;
-  for (int i = 0; i < reps; ++i) {
-    const auto workload = make(seed_base + static_cast<std::uint64_t>(i));
-    t.plain += ServeOnce(plain_app, workload);
-    t.protected_time += ServeOnce(protected_app, workload);
-  }
-  return t;
+// Serves one request as a gateway handler does: one engine scope per
+// request, its gate installed for the request's queries.
+inline http::Response ServeScoped(webapp::Application& app, core::Joza& joza,
+                                  const http::Request& request) {
+  core::RequestScope scope = joza.BeginRequest(request);
+  app.SetQueryGate(scope.MakeGate());
+  http::Response response = app.Handle(request);
+  app.SetQueryGate(nullptr);
+  return response;
 }
 
 }  // namespace joza::benchkit

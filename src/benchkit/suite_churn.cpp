@@ -43,53 +43,6 @@ namespace joza::benchkit {
 
 namespace {
 
-struct RunResult {
-  double seconds = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  std::size_t requests = 0;
-  std::size_t failures = 0;
-  double qps() const { return seconds > 0 ? requests / seconds : 0; }
-};
-
-// Drives `clients` threads. `make_sender(c)` runs inside thread `c` and
-// returns a callable `bool(std::size_t i)` that ships request i; per-thread
-// state (a keep-alive connection) lives and dies with the thread, so no
-// idle connection pins a gateway worker after its slice is done.
-template <typename MakeSender>
-RunResult DriveClients(std::size_t clients, std::size_t per_client,
-                       MakeSender&& make_sender) {
-  std::vector<LatencyRecorder> recorders(clients);
-  std::atomic<std::size_t> failures{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      auto send_one = make_sender(c);
-      for (std::size_t i = 0; i < per_client; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!send_one(i)) failures.fetch_add(1);
-        const auto t1 = std::chrono::steady_clock::now();
-        recorders[c].Record(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  RunResult r;
-  r.seconds = std::chrono::duration<double>(end - start).count();
-  r.requests = clients * per_client;
-  r.failures = failures.load();
-  LatencyRecorder all;
-  for (const auto& rec : recorders) all.Merge(rec);
-  const LatencySummary summary = all.Summary();
-  r.p50_ms = summary.p50;
-  r.p99_ms = summary.p99;
-  return r;
-}
-
 std::vector<std::string> SerializeCrawl(std::size_t count,
                                         std::uint64_t seed) {
   std::vector<std::string> raw;

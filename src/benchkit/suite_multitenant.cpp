@@ -21,7 +21,6 @@
 //      generous multiple of the unbudgeted tail; no transport failures, no
 //      routing 404s, no fail-closed 503s.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -29,7 +28,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -187,49 +185,6 @@ InProcessRun DriveInProcess(std::uint64_t budget_bytes,
   out.seconds = std::chrono::duration<double>(end - start).count();
   out.stats = fleet.stats();
   return out;
-}
-
-struct RunResult {
-  double seconds = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  std::size_t requests = 0;
-  std::size_t failures = 0;
-  double qps() const { return seconds > 0 ? requests / seconds : 0; }
-};
-
-template <typename MakeSender>
-RunResult DriveClients(std::size_t clients, std::size_t per_client,
-                       MakeSender&& make_sender) {
-  std::vector<LatencyRecorder> recorders(clients);
-  std::atomic<std::size_t> failures{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      auto send_one = make_sender(c);
-      for (std::size_t i = 0; i < per_client; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!send_one(i)) failures.fetch_add(1);
-        const auto t1 = std::chrono::steady_clock::now();
-        recorders[c].Record(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  RunResult r;
-  r.seconds = std::chrono::duration<double>(end - start).count();
-  r.requests = clients * per_client;
-  r.failures = failures.load();
-  LatencyRecorder all;
-  for (const auto& rec : recorders) all.Merge(rec);
-  const LatencySummary summary = all.Summary();
-  r.p50_ms = summary.p50;
-  r.p99_ms = summary.p99;
-  return r;
 }
 
 http::Request WithTenant(http::Request request, const std::string& id) {

@@ -28,7 +28,6 @@
 #include "benchkit/serve.h"
 #include "benchkit/suites.h"
 #include "core/joza.h"
-#include "gateway/client.h"
 #include "http/request.h"
 #include "nti/nti.h"
 #include "phpsrc/fragments.h"
@@ -298,32 +297,9 @@ std::size_t CountMismatches(const std::vector<ParityCase>& cases,
 
 // --- Phase 4: engine-level workload --------------------------------------
 
-// The served shape: each request round-trips through the wire format a
-// gateway parses, so it carries the Host and Connection inputs (and any
-// cookie) a served request does.
-std::vector<http::Request> ServedRequests(
-    const std::vector<attack::WorkloadRequest>& workload) {
-  std::vector<http::Request> requests;
-  requests.reserve(workload.size());
-  for (const attack::WorkloadRequest& wr : workload) {
-    StatusOr<http::Request> parsed = http::ParseRawRequest(
-        gateway::SerializeRequest(wr.request, /*keep_alive=*/true));
-    if (parsed.ok()) requests.push_back(std::move(parsed).value());
-  }
-  return requests;
-}
-
 void EngineWorkload(SuiteResult& result, const SuiteOptions& options) {
   auto app = attack::MakeTestbed();
   core::Joza joza = core::Joza::Install(*app);
-  // As a gateway handler does: one engine scope per request, its gate
-  // installed for the request's queries.
-  const auto serve = [&](const http::Request& request) {
-    core::RequestScope scope = joza.BeginRequest(request);
-    app->SetQueryGate(scope.MakeGate());
-    app->Handle(request);
-    app->SetQueryGate(nullptr);
-  };
 
   const std::size_t count = options.quick ? 150 : 600;
   const std::vector<http::Request> warm = ServedRequests(
@@ -332,12 +308,12 @@ void EngineWorkload(SuiteResult& result, const SuiteOptions& options) {
       attack::MakeMixedWorkload(count, 0.1, options.seed + 100));
 
   LatencyRecorder recorder;
-  for (const http::Request& request : warm) serve(request);
+  for (const http::Request& request : warm) ServeScoped(*app, joza, request);
   recorder.EndWarmup();
   Stopwatch watch;
   for (const http::Request& request : steady) {
     Stopwatch per;
-    serve(request);
+    ServeScoped(*app, joza, request);
     recorder.Record(per.ElapsedSeconds() * 1e3);
   }
   const double steady_secs = watch.ElapsedSeconds();

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include "resilience/injector.h"
-#include "sqlparse/lexer.h"
 
 namespace joza::ipc {
 
@@ -251,39 +250,6 @@ void DaemonClient::Kill() {
     ::waitpid(child_pid_, &status, 0);
     child_pid_ = -1;
   }
-}
-
-core::PtiFn DaemonClient::AsPtiBackend() {
-  return [this](std::string_view query, const std::vector<sql::Token>& tokens,
-                util::Deadline deadline) -> StatusOr<pti::PtiResult> {
-    auto wire = Analyze(query, deadline);
-    if (!wire.ok()) {
-      // No verdict. Whether the daemon hung (deadline miss, pipe now
-      // desynchronized) or died, the client is unusable: kill what is left
-      // so the next call spawns a fresh daemon instead of reusing a broken
-      // stream. The engine's degraded-mode policy decides what the missing
-      // verdict means (fail closed by default).
-      Kill();
-      return wire.status();
-    }
-    pti::PtiResult result;
-    result.attack_detected = wire->attack_detected;
-    result.hits = wire->hits;
-    result.fragments_scanned = wire->fragments_scanned;
-    result.ruleset_version = wire->ruleset_version;
-    // Recover token metadata locally for diagnostics.
-    if (wire->attack_detected) {
-      for (const sql::Token& t : tokens) {
-        for (const std::string& text : wire->untrusted_texts) {
-          if (t.IsCritical() && t.text == text) {
-            result.untrusted_critical_tokens.push_back(t);
-            break;
-          }
-        }
-      }
-    }
-    return result;
-  };
 }
 
 }  // namespace joza::ipc

@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/joza.h"
 #include "ipc/framing.h"
 #include "phpsrc/fragments.h"
 #include "pti/pti.h"
@@ -99,13 +98,6 @@ class DaemonClient {
   // SIGKILLs the daemon and reaps it without any handshake — for daemons
   // that missed a deadline (hung) or broke the protocol.
   void Kill();
-
-  // Adapts this client as a Joza PTI backend. The wire verdict carries no
-  // token spans, so the adapter re-derives `untrusted_critical_tokens`
-  // length only; detection semantics are identical. RPC failures surface
-  // as error Status — the engine's degraded-mode policy decides what a
-  // missing verdict means (fail closed by default).
-  core::PtiFn AsPtiBackend();
 
  private:
   Status EnsureSpawned();

@@ -7,6 +7,7 @@
 
 #include "core/joza.h"
 #include "ipc/daemon.h"
+#include "ipc/daemon_pool.h"
 #include "ipc/framing.h"
 
 namespace joza::ipc {
@@ -79,23 +80,23 @@ TEST(DaemonErrors, ServerCountsServedQueries) {
 }
 
 TEST(DaemonErrors, JozaAdapterFailsClosedOnDeadDaemon) {
-  // Build a backend from a client, then make its pipes unusable by
-  // shutting the daemon down while keeping the adapter alive.
-  auto client = std::make_unique<DaemonClient>(
-      DaemonClient::Mode::kPersistent, OneFragment());
-  ASSERT_TRUE(client->Ping().ok());
+  // A backend over a one-daemon pool.
+  DaemonPool::Options options;
+  options.max_size = 1;
+  DaemonPool pool(OneFragment(), options);
+  ASSERT_TRUE(pool.Ping().ok());
 
   core::JozaConfig cfg;
   cfg.query_cache = false;
   cfg.structure_cache = false;
   cfg.enable_nti = false;
   core::Joza joza(OneFragment(), cfg);
-  joza.SetPtiBackend(client->AsPtiBackend());
+  joza.SetPtiBackend(pool.AsPtiBackend());
 
   // Healthy: the trivially-covered query is safe.
   EXPECT_FALSE(joza.Check("SELECT 1", {}).attack);
 
-  // Destroying the client would leave a dangling backend, so test the
+  // Destroying the pool would leave a dangling backend, so test the
   // engine's contract directly: a backend that cannot produce a verdict
   // returns an error Status, and the engine's default degraded mode
   // (fail-closed) must block the query.

@@ -6,6 +6,7 @@
 #include "attack/exploit.h"
 #include "core/joza.h"
 #include "ipc/daemon.h"
+#include "ipc/daemon_pool.h"
 #include "ipc/framing.h"
 
 namespace joza::ipc {
@@ -318,16 +319,17 @@ TEST(DaemonClient, AddFragmentsAtNamesExactTarget) {
 }
 
 TEST(DaemonClient, JozaBackendIntegration) {
-  // Full stack: Joza running its PTI analysis through the forked daemon,
+  // Full stack: Joza running its PTI analysis through one forked daemon,
   // protecting the testbed end-to-end.
   auto app = attack::MakeTestbed();
   core::JozaConfig cfg;
   cfg.query_cache = false;
   cfg.structure_cache = false;
   core::Joza joza = core::Joza::Install(*app, cfg);
-  DaemonClient client(DaemonClient::Mode::kPersistent,
-                      php::FragmentSet::FromSources(app->sources()));
-  joza.SetPtiBackend(client.AsPtiBackend());
+  DaemonPool::Options options;
+  options.max_size = 1;
+  DaemonPool pool(php::FragmentSet::FromSources(app->sources()), options);
+  joza.SetPtiBackend(pool.AsPtiBackend());
   app->SetQueryGate(joza.MakeGate());
 
   const attack::PluginSpec& plugin = *attack::TestbedPlugins()[5];
