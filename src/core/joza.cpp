@@ -9,16 +9,6 @@
 
 namespace joza::core {
 
-namespace {
-
-bool HasComment(const std::vector<sql::Token>& tokens) {
-  return std::any_of(tokens.begin(), tokens.end(), [](const sql::Token& t) {
-    return t.Is(sql::TokenKind::kComment);
-  });
-}
-
-}  // namespace
-
 const char* DetectedByName(DetectedBy d) {
   switch (d) {
     case DetectedBy::kNone: return "none";
@@ -139,27 +129,29 @@ StatusOr<pti::PtiResult> Joza::RunPti(AnalysisContext& ctx) {
   return pti::AnalyzeUnits(*ctx.snapshot->pti, ctx.query, ctx.pti_units);
 }
 
-RequestScope Joza::BeginRequest(const http::Request& request) {
-  return RequestScope(*this, request);
+RequestScope Joza::BeginRequest(const http::Request& request,
+                                util::Deadline deadline) {
+  return RequestScope(*this, request, deadline);
 }
 
 Verdict Joza::Check(std::string_view query,
                     const std::vector<http::Input>& inputs,
                     util::Deadline deadline) {
   const std::vector<http::InputView> views = http::ViewsOf(inputs);
-  return RequestScope(*this, std::span<const http::InputView>(views))
-      .Check(query, deadline);
+  return RequestScope(*this, std::span<const http::InputView>(views),
+                      deadline)
+      .Check(query);
 }
 
 Verdict Joza::CheckRequest(std::string_view query,
                            const http::Request& request,
                            util::Deadline deadline) {
-  return BeginRequest(request).Check(query, deadline);
+  return BeginRequest(request, deadline).Check(query);
 }
 
-Verdict RequestScope::Check(std::string_view query, util::Deadline deadline) {
+Verdict RequestScope::Check(std::string_view query) {
   return engine_->CheckPinned(*snapshot_, nti_ ? &*nti_ : nullptr, query,
-                              deadline);
+                              deadline_);
 }
 
 webapp::QueryGate RequestScope::MakeGate() {
@@ -199,24 +191,20 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
       resolved = true;  // safe
     }
 
-    // The shape hash cannot see comments (the parser skips them), so a
-    // comment could truncate a query onto a cached safe shape, while PTI
-    // counts every comment as a critical token: a query carrying one
-    // neither looks up nor enters the structure cache.
+    // A query that does not lex cleanly has no shape and runs PTI.
     std::uint64_t shash = 0;
     bool have_shash = false;
-    if (!resolved && config_.structure_cache && !HasComment(ctx.Tokens())) {
-      auto parsed = sql::StructureHashOf(query, ctx.Tokens());
-      if (parsed.ok()) {
-        shash = HashCombine(parsed.value(), snap.version);
+    if (!resolved && config_.structure_cache) {
+      auto shape = sql::StructureHashOf(query, ctx.Tokens());
+      if (shape.ok()) {
+        shash = HashCombine(shape.value(), snap.version);
         have_shash = true;
         if (state_->structure_cache.Lookup(shash)) {
           Bump(state_->stats.structure_cache_hits);
           verdict.structure_cache_hit = true;
           resolved = true;  // same shape as a previously PTI-safe query
           // This exact text would hit the same entry again, so promote it:
-          // its next check skips the parse and, unless NTI marks an
-          // input, the lex.
+          // unless NTI marks an input, its next check skips the lex.
           if (config_.query_cache) state_->query_cache.Insert(qhash);
         }
       }

@@ -3,17 +3,17 @@
 // Every query the application issues is checked by PTI first, then NTI; it
 // is safe iff both deem it safe. Two caches accelerate PTI: the query
 // cache (exact texts proven safe by PTI or by a structure hit) and the
-// structure cache (AST shape with data nodes blanked — safe because
-// injected SQL always alters the shape; a query carrying a comment, which
-// the shape cannot see, never uses it). NTI is never cached: its verdict
-// depends on the request's inputs. A check lexes the query at most once,
-// and only when a cache miss or an NTI marking needs tokens.
+// structure cache (the token skeleton with number and string values
+// blanked, sqlparse/structure.h — safe because injected SQL always alters
+// the skeleton). NTI is never cached: its verdict depends on the request's
+// inputs. A check lexes the query at most once, and only when a cache miss
+// or an NTI marking needs tokens; it never parses it.
 //
 // Requests: BeginRequest opens a RequestScope, which pins one ruleset
-// snapshot and prepares the request's inputs for NTI once (Section IV-D's
-// interceptor records a request's inputs once); every query of that
-// request is then checked through the scope. Check() and CheckRequest()
-// are one-check scopes over the same code.
+// snapshot, holds the request's deadline and prepares the request's inputs
+// for NTI once (Section IV-D's interceptor records a request's inputs
+// once); every query of that request is then checked through the scope.
+// Check() and CheckRequest() are one-check scopes over the same code.
 //
 // Thread safety: Check(), CheckRequest(), BeginRequest(), MakeGate()'s
 // gate, stats() and OnSourcesChanged() may be called concurrently from any
@@ -144,7 +144,7 @@ struct JozaStats {
   std::uint64_t pti_full_runs = 0;
   std::uint64_t nti_runs = 0;
   // NTI matcher-pipeline roll-up (sums of the per-check NtiResult
-  // counters): inputs resolved by the exact stage, candidates that reached
+  // counters): values resolved by the exact stage, candidates that reached
   // the kernel past the bigram block filter, full Sellers verifications,
   // and the tier histogram of which path decided each considered input.
   std::uint64_t nti_exact_hits = 0;
@@ -292,24 +292,23 @@ class Joza {
 
   // Opens one request's scope: pins the current ruleset snapshot and
   // prepares the request's inputs for NTI, once. Every query the request
-  // issues is then checked through the scope (see RequestScope). The
-  // request and this engine must outlive the scope.
-  RequestScope BeginRequest(const http::Request& request);
+  // issues is then checked through the scope (see RequestScope), each
+  // bounded by `deadline` (infinite by default), which bounds the external
+  // PTI backend call. The request and this engine must outlive the scope.
+  RequestScope BeginRequest(const http::Request& request,
+                            util::Deadline deadline = {});
 
-  // Checks one query against the stored request inputs: a one-check scope.
-  // The default deadline is the ambient per-request deadline installed by
-  // util::ScopedRequestDeadline (infinite when none is active); it bounds
-  // the external PTI backend call. No input is copied: the analysis reads
-  // borrowed views of the caller's vector.
-  Verdict Check(
-      std::string_view query, const std::vector<http::Input>& inputs,
-      util::Deadline deadline = util::ScopedRequestDeadline::current());
+  // Checks one query against the stored request inputs: a one-check scope
+  // with `deadline`. No input is copied: the analysis reads borrowed views
+  // of the caller's vector.
+  Verdict Check(std::string_view query,
+                const std::vector<http::Input>& inputs,
+                util::Deadline deadline = {});
 
   // Zero-copy entry over a whole stored request: a one-check scope,
-  // BeginRequest(request).Check(query, deadline).
-  Verdict CheckRequest(
-      std::string_view query, const http::Request& request,
-      util::Deadline deadline = util::ScopedRequestDeadline::current());
+  // BeginRequest(request, deadline).Check(query).
+  Verdict CheckRequest(std::string_view query, const http::Request& request,
+                       util::Deadline deadline = {});
 
   // Binds this engine as an application interception gate applying the
   // configured recovery policy; every gated query is a one-check scope.
@@ -352,8 +351,8 @@ class Joza {
     // a structure-cache hit (salted with the snapshot version they were
     // proven under).
     ShardedSafetyCache query_cache;
-    // Structure cache: AST-structure hashes of previously PTI-safe queries
-    // (same version salt).
+    // Structure cache: token-skeleton hashes of previously PTI-safe
+    // queries (same version salt).
     ShardedSafetyCache structure_cache;
     // Live counters, touched only through Bump and LoadCounters.
     // cache_evictions and ruleset_version stay 0 here: stats() reads them
@@ -391,9 +390,10 @@ class Joza {
 };
 
 // One HTTP request's view of the engine, from Joza::BeginRequest. It holds
-// the ruleset snapshot pinned when the request began and the request's
-// inputs as borrowed views, prepared for NTI once; every Check runs the
-// engine's full pipeline (caches, PTI, degraded mode, NTI) against both.
+// the ruleset snapshot pinned when the request began, the request's
+// deadline, and the request's inputs as borrowed views, prepared for NTI
+// once; every Check runs the engine's full pipeline (caches, PTI, degraded
+// mode, NTI) against them.
 // An OnSourcesChanged while the request is under way reaches the next
 // request, never the rest of this one. One request, one thread: a scope
 // is not safe to use from two threads at once.
@@ -404,9 +404,7 @@ class RequestScope {
   RequestScope(const RequestScope&) = delete;
   RequestScope& operator=(const RequestScope&) = delete;
 
-  Verdict Check(
-      std::string_view query,
-      util::Deadline deadline = util::ScopedRequestDeadline::current());
+  Verdict Check(std::string_view query);
 
   // An interception gate answering for this scope's request; the scope
   // must outlive the gate.
@@ -419,13 +417,16 @@ class RequestScope {
   // `inputs` is a request or a span of input views; with NTI off there is
   // nothing to prepare.
   template <typename Inputs>
-  RequestScope(Joza& engine, const Inputs& inputs)
-      : engine_(&engine), snapshot_(engine.state_->snapshot.Load()) {
+  RequestScope(Joza& engine, const Inputs& inputs, util::Deadline deadline)
+      : engine_(&engine),
+        snapshot_(engine.state_->snapshot.Load()),
+        deadline_(deadline) {
     if (engine.config_.enable_nti) nti_.emplace(snapshot_->nti, inputs);
   }
 
   Joza* engine_;
   std::shared_ptr<const RulesetSnapshot> snapshot_;
+  util::Deadline deadline_;
   std::optional<nti::PreparedInputs> nti_;
 };
 

@@ -304,21 +304,22 @@ Completion HandlerPool::Serve(webapp::Application& app, const Job& job) {
     response.body = "Tenant Unavailable";
   } else {
     keep_alive = WantsKeepAlive(job.raw);
-    // Per-request budget, visible to the Joza engine (and through it the
-    // daemon pool) as the ambient deadline for this handler thread.
+    // Per-request budget: the request's scope bounds every PTI call of the
+    // request (through the engine, the daemon pool's round trip) by it.
     util::Deadline request_deadline;
     if (config().request_deadline.count() > 0) {
       request_deadline = util::Deadline::After(config().request_deadline);
     }
-    util::ScopedRequestDeadline deadline_scope(request_deadline);
     // The fleet pin keeps the tenant's engine alive across a concurrent
     // demotion. Every query of the request goes through one scope: one
-    // snapshot pin and one preparation of the request's inputs. The gate
-    // is swapped out again before the scope and the pin drop.
+    // snapshot pin, one deadline and one preparation of the request's
+    // inputs. The gate is swapped out again before the scope and the pin
+    // drop.
     core::Joza* engine =
         shared_.fleet != nullptr ? pin.value().get() : shared_.joza;
     if (engine != nullptr) {
-      core::RequestScope request_scope = engine->BeginRequest(parsed.value());
+      core::RequestScope request_scope =
+          engine->BeginRequest(parsed.value(), request_deadline);
       app.SetQueryGate(request_scope.MakeGate());
       response = app.Handle(parsed.value());
       app.SetQueryGate(nullptr);

@@ -61,8 +61,8 @@ struct GatewayConfig {
   // Total request size cap (headers + body); beyond it the shard answers
   // 413 and closes instead of buffering without bound.
   std::size_t max_request_bytes = 1u << 20;
-  // Per-request processing budget threaded to the Joza engine as the
-  // ambient deadline (bounds the PTI daemon round trip; a miss degrades
+  // Per-request processing budget, handed to the Joza engine with the
+  // request's scope (bounds the PTI daemon round trip; a miss degrades
   // the verdict fail-closed instead of pinning the handler). A request
   // that already waited this long for a handler is answered 503 at once:
   // its client has given up. 0 disables both.

@@ -71,8 +71,9 @@ struct NtiResult {
   std::vector<TaintMarking> markings;
   // Critical tokens covered by a single input's marking (the evidence).
   std::vector<sql::Token> tainted_critical_tokens;
-  // Diagnostics for the perf benches: how far each input travelled through
-  // the staged pipeline before being resolved.
+  // Diagnostics for the perf benches: how far each distinct input value
+  // travelled through the staged pipeline before being resolved (a value
+  // several inputs carry is matched, and counted, once).
   std::size_t inputs_considered = 0;
   std::size_t inputs_skipped = 0;
   std::size_t exact_hits = 0;       // resolved by an exact occurrence

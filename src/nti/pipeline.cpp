@@ -1,6 +1,8 @@
 #include "nti/pipeline.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace joza::nti {
 
@@ -49,15 +51,32 @@ PreparedInputs::PreparedInputs(const NtiConfig& config,
 }
 
 void PreparedInputs::IndexStagedInputs() {
-  if (config_.tier != MatchTier::kStaged || config_.threshold >= 1.0) return;
+  if (config_.tier != MatchTier::kStaged) return;
+  // A request may repeat one value under many inputs. Sorted by value, ties
+  // by position, equal values line up behind the first input carrying
+  // them, which alone is indexed and matched.
+  std::vector<std::size_t> order(inputs_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    const int c = inputs_[a].input.value.compare(inputs_[b].input.value);
+    return c < 0 || (c == 0 && a < b);
+  });
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    Prepared& prep = inputs_[order[k]];
+    const bool repeat =
+        k > 0 && inputs_[order[k - 1]].input.value == prep.input.value;
+    prep.source = repeat ? inputs_[order[k - 1]].source : order[k];
+  }
+  if (config_.threshold >= 1.0) return;
   // Every input the staged path takes: 1..64 ASCII bytes, and long enough
   // to be considered at all. Marked and counted first, so the filter is
   // sized once: a one-check scope builds it for a single query.
   std::size_t staged = 0;
   std::size_t grams = 0;
-  for (Prepared& prep : inputs_) {
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    Prepared& prep = inputs_[i];
     const std::string_view value = prep.input.value;
-    if (value.size() < config_.min_input_length ||
+    if (prep.source != i || value.size() < config_.min_input_length ||
         !match::MyersEligible(value)) {
       continue;
     }
@@ -75,15 +94,18 @@ void PreparedInputs::IndexStagedInputs() {
 }
 
 std::size_t PreparedInputs::ThresholdBound(std::size_t input_length) const {
+  // The epsilon lets floating-point error only loosen the bound, never cut
+  // an integer t*m/(1-t) to the integer below it.
   return static_cast<std::size_t>(
-      std::ceil(config_.threshold * static_cast<double>(input_length) /
-                (1.0 - config_.threshold)));
+      std::floor(config_.threshold * static_cast<double>(input_length) /
+                     (1.0 - config_.threshold) +
+                 1e-9));
 }
 
 NtiResult PreparedInputs::Mark(std::string_view query) {
   NtiResult result;
   bool scanned = false;
-  for (const Prepared& prep : inputs_) {
+  for (Prepared& prep : inputs_) {
     const http::InputView& input = prep.input;
     // Plausibility pruning (identical across tiers): inputs too short to
     // mark safely, or too long to fit any query substring within the
@@ -101,17 +123,24 @@ NtiResult PreparedInputs::Mark(std::string_view query) {
       ++result.tier_reference;
       ++result.dp_runs;
       best = match::BestSubstringMatch(query, input.value);
-    } else if (prep.filter_index < 0) {
-      ++result.tier_bounded;
-      best = MatchFallback(query, input.value, result);
     } else {
-      ++result.tier_staged;
-      // One pass over the query's bigrams serves every staged input.
-      if (!scanned) {
-        filter_.Scan(query);
-        scanned = true;
+      // The first input carrying a value matches it; the pruning above
+      // keeps or skips every input carrying it alike, so the later ones
+      // find its match already made for this query.
+      const Prepared& source = inputs_[prep.source];
+      const bool staged = source.filter_index >= 0;
+      ++(staged ? result.tier_staged : result.tier_bounded);
+      if (&source == &prep && !staged) {
+        prep.best = MatchFallback(query, input.value, result);
+      } else if (&source == &prep) {
+        // One pass over the query's bigrams serves every staged input.
+        if (!scanned) {
+          filter_.Scan(query);
+          scanned = true;
+        }
+        prep.best = MatchStaged(query, prep, result);
       }
-      best = MatchStaged(query, prep, result);
+      best = source.best;
     }
     if (best.span.empty() || best.ratio > config_.threshold) continue;
 

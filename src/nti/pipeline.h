@@ -2,11 +2,11 @@
 //
 // Everything the matcher derives from a request's inputs is independent of
 // the query, and the paper's interceptor records the inputs once per
-// request (Section IV-D). So PreparedInputs derives it once: for every
-// input the bit-parallel kernel can take (1..64 bytes, ASCII), its
-// threshold bound k, its bigram positions in one request-level
+// request (Section IV-D). So PreparedInputs derives it once, per distinct
+// value: for every value the bit-parallel kernel can take (1..64 bytes,
+// ASCII), its threshold bound k, its bigram positions in one request-level
 // match::BigramBlockFilter. Each query then costs one pass over its
-// bigrams, and each input descends through progressively cheaper-to-pass /
+// bigrams, and each value descends through progressively cheaper-to-pass /
 // costlier-to-run stages:
 //
 //   block filter  →  exact find  →  windowed Myers kernel  →  Sellers DP
@@ -16,9 +16,11 @@
 // stretch of the query between the first and the last block pair that
 // passes the counting bound. Every filter is an exact reject and every
 // accept is re-verified by the bounded Sellers DP, the reference DP itself,
-// so markings, evidence and the exact_hits / dp_runs counters are those of
-// the reference tier. Inputs the kernel cannot take, and every input when
-// the threshold is 1, fall back to find + bounded Sellers.
+// so markings and evidence are those of the reference tier. Values the
+// kernel cannot take, and every value when the threshold is 1, fall back
+// to find + bounded Sellers. A value is matched once per query however
+// many inputs carry it (the stage counters count values), and each of
+// those inputs gets its own marking (the tier counters count inputs).
 #pragma once
 
 #include <cstddef>
@@ -49,20 +51,26 @@ class PreparedInputs {
   // Matches every eligible input against `query` and fills the markings
   // and pipeline counters of an NtiResult; never reads a token (the attack
   // bit is NtiAnalyzer::ApplyWholeTokenRule's). Not thread-safe: the
-  // filter's scan state is per-request scratch.
+  // filter's scan state and each value's match are per-request scratch.
   NtiResult Mark(std::string_view query);
 
  private:
   struct Prepared {
     http::InputView input;
+    // Staged tier: the first input carrying this input's value, whose
+    // index, bound and match serve every input carrying it (itself when
+    // it is that first one).
+    std::size_t source = 0;
     // Index into the block filter; -1 for inputs the staged path cannot
-    // take (and for every input of the reference tier).
+    // take or that share another input's value (and for every input of
+    // the reference tier).
     int filter_index = -1;
-    std::size_t bound = 0;  // the threshold bound k
+    std::size_t bound = 0;       // the threshold bound k
+    match::SubstringMatch best;  // per Mark, on a source: its match
   };
 
-  // Gives each staged input its bound and filter index. Constructors only,
-  // once inputs_ holds the views.
+  // Gives each staged input its source, and each source its bound and
+  // filter index. Constructors only, once inputs_ holds the views.
   void IndexStagedInputs();
   match::SubstringMatch MatchStaged(std::string_view query,
                                     const Prepared& prepared,
@@ -72,7 +80,8 @@ class PreparedInputs {
                                       NtiResult& stats) const;
 
   // Tightest sound DP bound for the ratio threshold: ratio <= t and
-  // span_len <= |input| + dist imply dist <= t*|input| / (1-t).
+  // span_len <= |input| + dist imply dist <= t*|input| / (1-t), and a
+  // distance is an integer, so its floor.
   std::size_t ThresholdBound(std::size_t input_length) const;
 
   NtiConfig config_;

@@ -47,8 +47,6 @@ std::string UnquoteIdentifier(std::string_view raw) {
 class Parser {
  public:
   explicit Parser(std::string_view src) : src_(src), tokens_(Lex(src)) {}
-  Parser(std::string_view src, std::vector<Token> tokens)
-      : src_(src), tokens_(std::move(tokens)) {}
 
   StatusOr<Statement> ParseStatement() {
     if (AtEnd()) return Status::ParseError("empty statement");
@@ -1070,11 +1068,6 @@ class Parser {
 
 StatusOr<Statement> Parse(std::string_view query) {
   return Parser(query).ParseStatement();
-}
-
-StatusOr<Statement> Parse(std::string_view query,
-                          const std::vector<Token>& tokens) {
-  return Parser(query, tokens).ParseStatement();
 }
 
 StatusOr<ExprPtr> ParseExpression(std::string_view text) {

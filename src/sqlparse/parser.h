@@ -2,22 +2,14 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "sqlparse/ast.h"
-#include "sqlparse/token.h"
 #include "util/status.h"
 
 namespace joza::sql {
 
 // Parses a single SQL statement (optionally terminated by ';').
 StatusOr<Statement> Parse(std::string_view query);
-
-// Same, over an already-lexed token stream (`tokens` must be the lex of
-// `query`). The analysis hot path lexes once and threads the tokens through
-// every consumer; this overload keeps the parser from re-lexing.
-StatusOr<Statement> Parse(std::string_view query,
-                          const std::vector<Token>& tokens);
 
 // Parses just an expression (used by tests and the database engine).
 StatusOr<ExprPtr> ParseExpression(std::string_view text);

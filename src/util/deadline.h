@@ -68,31 +68,4 @@ class Deadline {
   Clock::time_point point_{};
 };
 
-// Ambient per-request deadline. Layers whose interfaces cannot carry a
-// deadline parameter (the webapp QueryGate sees only the SQL and the
-// request) read the deadline the gateway worker installed for the current
-// request. Thread-local, so concurrent workers never observe each other's
-// budgets.
-class ScopedRequestDeadline {
- public:
-  explicit ScopedRequestDeadline(Deadline deadline)
-      : previous_(current_ref()) {
-    current_ref() = deadline;
-  }
-  ~ScopedRequestDeadline() { current_ref() = previous_; }
-
-  ScopedRequestDeadline(const ScopedRequestDeadline&) = delete;
-  ScopedRequestDeadline& operator=(const ScopedRequestDeadline&) = delete;
-
-  // The innermost scope's deadline, or an infinite one outside any scope.
-  static Deadline current() { return current_ref(); }
-
- private:
-  static Deadline& current_ref() {
-    thread_local Deadline current;
-    return current;
-  }
-  Deadline previous_;
-};
-
 }  // namespace joza::util

@@ -294,6 +294,34 @@ std::vector<std::string> Evidence(const Verdict& verdict) {
   return out;
 }
 
+// The shape keeps each keyword's case and every parenthesis, as PTI's
+// byte-for-byte fragment match does: once `... ORDER BY id ASC LIMIT 5` is
+// cached, a query that only changes case or adds parentheses gets the
+// paper-literal engine's verdict, not a structure hit.
+TEST(StructureCacheEndToEnd, CaseAndParenthesesGetPaperLiteralVerdicts) {
+  php::FragmentSet fragments;
+  for (const char* f :
+       {"SELECT * FROM records ORDER BY id ", "ASC", "DESC", " LIMIT 5"}) {
+    fragments.AddRaw(f);
+  }
+  Joza cached(fragments);
+  Joza literal(fragments, PaperLiteralConfig());
+  ASSERT_FALSE(
+      cached.Check("SELECT * FROM records ORDER BY id ASC LIMIT 5", {}).attack);
+  for (const char* probe :
+       {"SELECT * FROM records ORDER BY id asc LIMIT 5",
+        "SELECT * FROM records ORDER BY id Asc LIMIT 5",
+        "select * from records order by id asc limit 5",
+        "SELECT * FROM records ORDER BY (id) ASC LIMIT 5"}) {
+    const Verdict a = cached.Check(probe, {});
+    const Verdict b = literal.Check(probe, {});
+    EXPECT_TRUE(b.attack) << probe;
+    EXPECT_EQ(a.attack, b.attack) << probe;
+    EXPECT_EQ(a.detected_by, b.detected_by) << probe;
+    EXPECT_EQ(Evidence(a), Evidence(b)) << probe;
+  }
+}
+
 // The default engine (staged NTI, automaton PTI, both caches) against the
 // paper-literal one. Over served traffic, every attack variant the testbed
 // knows and comment-truncation probes, both must name the same verdict,

@@ -145,7 +145,7 @@ TEST(Caches, InjectedQueryNeverHitsCaches) {
   auto v1 = joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5",
                        {Get("id", "17")});
   EXPECT_FALSE(v1.attack);
-  // Injection changes the AST shape: full PTI runs and still detects.
+  // Injection changes the shape: full PTI runs and still detects.
   auto v2 = joza.Check(
       "SELECT * FROM records WHERE ID=17 UNION SELECT username() LIMIT 5",
       {Get("id", "17 UNION SELECT username()")});
@@ -181,10 +181,11 @@ TEST(Caches, UnparseableQueryBypassesStructureCache) {
   JozaConfig cfg;
   cfg.query_cache = false;  // isolate the structure cache
   Joza joza(RichFragments(), cfg);
-  // A dynamically-mangled query that the parser rejects still gets PTI'd.
-  const std::string q = "SELECT * FROM records WHERE ID= LIMIT";
-  joza.Check(q, {});
-  joza.Check(q, {});
+  // A query that does not lex cleanly (an unterminated string) has no
+  // shape: PTI runs on every copy, although it finds this one safe.
+  const std::string q = "SELECT * FROM records WHERE ID='17 LIMIT 5";
+  EXPECT_FALSE(joza.Check(q, {}).attack);
+  EXPECT_FALSE(joza.Check(q, {}).attack);
   EXPECT_EQ(joza.stats().pti_full_runs, 2u);
   EXPECT_EQ(joza.stats().structure_cache_hits, 0u);
 }
@@ -200,9 +201,9 @@ TEST(Caches, SourceUpdateInvalidates) {
   EXPECT_EQ(joza.stats().pti_full_runs, 2u);
 }
 
-TEST(Caches, CommentedQueryBypassesStructureCache) {
-  // The shape hash skips comments, so the commented query below has the
-  // cached query's shape; PTI must still see its uncovered comment.
+TEST(Caches, CommentIsPartOfTheShape) {
+  // A comment is a token of the shape, so the commented query below misses
+  // the cached query's shape; PTI must still see its uncovered comment.
   Joza joza(RichFragments());
   EXPECT_FALSE(joza.Check("SELECT * FROM records WHERE ID=17 LIMIT 5", {})
                    .attack);
@@ -210,7 +211,8 @@ TEST(Caches, CommentedQueryBypassesStructureCache) {
   EXPECT_FALSE(v.structure_cache_hit);
   EXPECT_TRUE(v.attack);
   EXPECT_EQ(v.detected_by, DetectedBy::kPti);
-  // Nor does a commented query that PTI proves safe enter the cache.
+  // Nor does a commented query that PTI proves safe lend its shape to the
+  // same query without the comment.
   php::FragmentSet set = RichFragments();
   set.AddRaw(" /* ok */");
   Joza tolerant(std::move(set));

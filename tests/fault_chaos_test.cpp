@@ -484,8 +484,8 @@ TEST(DegradedMode, NtiOnlyWithoutNtiStillFailsClosed) {
 }
 
 TEST(DegradedMode, DeadlineMissDegradesInsteadOfPinning) {
-  // End to end: engine -> pool -> hung daemon, bounded by the ambient
-  // request deadline, lands in fail-closed degradation.
+  // End to end: engine -> pool -> hung daemon, bounded by the check's
+  // deadline, lands in fail-closed degradation.
   auto& injector = resilience::FaultInjector::Global();
   injector.DisarmAll();
   injector.ResetCounters();
@@ -501,11 +501,8 @@ TEST(DegradedMode, DeadlineMissDegradesInsteadOfPinning) {
   joza.SetPtiBackend(pool.AsPtiBackend());
 
   const auto start = std::chrono::steady_clock::now();
-  core::Verdict v;
-  {
-    util::ScopedRequestDeadline scope(util::Deadline::After(500ms));
-    v = joza.Check("SELECT 1", {});
-  }
+  const core::Verdict v =
+      joza.Check("SELECT 1", {}, util::Deadline::After(500ms));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_TRUE(v.attack);
   EXPECT_TRUE(v.degraded);

@@ -326,7 +326,7 @@ TEST(ConcurrentJoza, BoundedCachePreservesVerdictsInSingleThread) {
   auto app = attack::MakeTestbed();
   core::JozaConfig tiny;
   tiny.cache_capacity = 8;
-  // The benign family shares one AST shape; without this the structure
+  // The benign family shares one shape; without this the structure
   // cache absorbs it and the tiny query cache never feels pressure.
   tiny.structure_cache = false;
   core::Joza bounded = core::Joza::Install(*app, tiny);

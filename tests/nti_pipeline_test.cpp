@@ -70,7 +70,7 @@ TEST(Pipeline, KernelRejectsSeedSurvivor) {
   // ab/cd/ef/gh occur in the query within two adjacent blocks of 8+2
   // bytes, reaching the (8-1) - 2*2 = 3 positions the block filter asks
   // for, so it passes the input — but the true distance (3 inserted
-  // spaces) exceeds the threshold bound (ceil(0.2*8/0.8) = 2), which the
+  // spaces) exceeds the threshold bound (floor(0.2*8/0.8) = 2), which the
   // Myers kernel proves without a DP run.
   const NtiResult r = nti.Analyze("SELECT ab cd ef gh",
                                   {{http::InputKind::kGet, "q", "abcdefgh"}});
@@ -82,8 +82,8 @@ TEST(Pipeline, KernelRejectsSeedSurvivor) {
 
 TEST(Pipeline, SurvivorVerifiedByDp) {
   const NtiAnalyzer nti(StagedConfig());
-  // One escape backslash: distance 1 within the bound (ceil(0.2*7/0.8) =
-  // 2), so the DP must run and report the true distance.
+  // One escape backslash: distance 1 within the bound (floor(0.2*7/0.8) =
+  // 1), so the DP must run and report the true distance.
   const NtiResult r = nti.Analyze("SELECT * FROM t WHERE a = 'x\\' OR 1'",
                                   {{http::InputKind::kGet, "a", "x' OR 1"}});
   EXPECT_EQ(r.seed_candidates, 1u);
@@ -159,10 +159,11 @@ TEST(Pipeline, MultiPatternExactStageResolvesManyInputs) {
   EXPECT_EQ(r.exact_hits, 8u);
   EXPECT_EQ(r.dp_runs, 0u);
   EXPECT_EQ(r.markings.size(), 8u);
-  // A value arriving under two names resolves under both.
+  // A value arriving under two names is found once and marks both.
   inputs.push_back({http::InputKind::kGet, "dup", inputs[0].value});
   const NtiResult r2 = NtiAnalyzer(cfg).Analyze(query, inputs);
-  EXPECT_EQ(r2.exact_hits, 9u);
+  EXPECT_EQ(r2.exact_hits, 8u);
+  EXPECT_EQ(r2.markings.size(), 9u);
 }
 
 TEST(Pipeline, PreparedRequestReusedAcrossQueries) {
@@ -218,7 +219,7 @@ TEST(Pipeline, ThousandsOfShortInputsAgainstALongQuery) {
       {"zzzzzzzz", 1420},  // absent: the filter rejects it
       {"q7z", 40},         // absent: the kernel runs over the whole query
       {"UNION SEL", 20},   // exact
-      {"1 OR 1=1", 20}};   // one edit away: the only DP runs
+      {"1 OR 1=1", 20}};   // one edit away: the only DP run
   std::vector<http::Input> inputs;
   for (const Value& value : values) {
     for (int i = 0; i < value.copies; ++i) {
@@ -267,7 +268,45 @@ TEST(Pipeline, ThousandsOfShortInputsAgainstALongQuery) {
   }
   EXPECT_EQ(next, staged.markings.size());
   EXPECT_EQ(staged.markings.size(), 2000u + 500u + 20u + 20u);
-  EXPECT_EQ(staged.dp_runs, 20u);
+  EXPECT_EQ(staged.dp_runs, 1u);  // one per distinct value
+}
+
+// A value repeated under many inputs is matched once per query, and every
+// input carrying it gets its own marking, under its own name and kind, as
+// the reference tier marks it.
+TEST(Pipeline, RepeatedValueMatchedOncePerQuery) {
+  std::vector<http::Input> inputs;
+  for (int i = 0; i < 2000; ++i) {
+    inputs.push_back(
+        {http::InputKind::kGet, "a" + std::to_string(i), "1 OR 1=1"});
+  }
+  inputs.push_back({http::InputKind::kCookie, "c", "1 OR 1=1"});
+  const std::vector<http::InputView> views = http::ViewsOf(inputs);
+  NtiConfig reference_config;
+  reference_config.tier = MatchTier::kReference;
+  PreparedInputs staged(StagedConfig(), views);
+  PreparedInputs reference(reference_config, views);
+  for (const char* query : {"SELECT * FROM t WHERE id = 1 OR 1=2",
+                            "SELECT * FROM u WHERE id = 1 OR 1=3"}) {
+    const NtiResult got = staged.Mark(query);
+    EXPECT_EQ(got.tier_staged, 2001u);
+    EXPECT_EQ(got.seed_candidates, 1u);
+    EXPECT_EQ(got.dp_runs, 1u);
+    const NtiResult want = reference.Mark(query);
+    ASSERT_EQ(got.markings.size(), 2001u) << query;
+    ASSERT_EQ(want.markings.size(), 2001u) << query;
+    int differing = 0;
+    for (std::size_t i = 0; i < want.markings.size(); ++i) {
+      const TaintMarking& g = got.markings[i];
+      const TaintMarking& w = want.markings[i];
+      differing += g.input_name != w.input_name ||
+                   g.input_kind != w.input_kind ||
+                   g.span.begin != w.span.begin || g.span.end != w.span.end ||
+                   g.distance != w.distance;
+    }
+    EXPECT_EQ(differing, 0) << query;
+    EXPECT_EQ(got.markings.back().input_kind, http::InputKind::kCookie);
+  }
 }
 
 TEST(Pipeline, ViewOverloadMatchesCompatShim) {

@@ -19,6 +19,9 @@ TEST(Structure, DataChangesPreserveHash) {
             MustHash("SELECT * FROM t WHERE name = 'bob the builder'"));
   EXPECT_EQ(MustHash("INSERT INTO t (a) VALUES ('x')"),
             MustHash("INSERT INTO t (a) VALUES ('completely different')"));
+  // Integer or decimal, a number is data.
+  EXPECT_EQ(MustHash("SELECT * FROM t WHERE id = 5"),
+            MustHash("SELECT * FROM t WHERE id = 2.5"));
 }
 
 TEST(Structure, InjectionChangesHash) {
@@ -47,8 +50,20 @@ TEST(Structure, LimitPresenceMattersButValueDoesNot) {
   EXPECT_NE(MustHash("SELECT a FROM t LIMIT 5"), MustHash("SELECT a FROM t"));
 }
 
-TEST(Structure, TableNameCaseInsensitive) {
-  EXPECT_EQ(MustHash("SELECT * FROM Users"), MustHash("SELECT * FROM users"));
+// PTI matches fragments byte for byte, so the shape keeps every
+// non-literal token's exact text.
+TEST(Structure, CaseIsPartOfTheShape) {
+  EXPECT_NE(MustHash("SELECT * FROM Users"), MustHash("SELECT * FROM users"));
+  EXPECT_NE(MustHash("SELECT * FROM t ORDER BY id ASC"),
+            MustHash("SELECT * FROM t ORDER BY id asc"));
+}
+
+TEST(Structure, CommentsAndParenthesesArePartOfTheShape) {
+  const auto plain = MustHash("SELECT * FROM t WHERE id = 5");
+  EXPECT_NE(plain, MustHash("SELECT * FROM t WHERE id = 5 -- x"));
+  EXPECT_NE(plain, MustHash("SELECT * FROM t WHERE (id) = 5"));
+  EXPECT_NE(MustHash("SELECT * FROM t WHERE id = 5 /* a */"),
+            MustHash("SELECT * FROM t WHERE id = 5 /* b */"));
 }
 
 TEST(Structure, IntVsStringLiteralSameSlotDiffers) {
@@ -70,8 +85,12 @@ TEST(Structure, SubqueryStructureCounts) {
       MustHash("SELECT * FROM t WHERE id IN (SELECT id FROM u WHERE x = 2)"));
 }
 
-TEST(Structure, UnparseableQueryFails) {
-  EXPECT_FALSE(StructureHashOf("SELECT FROM WHERE").ok());
+TEST(Structure, LexErrorHasNoShape) {
+  EXPECT_FALSE(StructureHashOf("SELECT * FROM t WHERE a = 'open").ok());
+  EXPECT_FALSE(StructureHashOf("SELECT * FROM t /* open").ok());
+  // The parser models MySQL's grammar; it is no safety check, and a query
+  // it rejects still has a shape.
+  EXPECT_TRUE(StructureHashOf("SELECT FROM WHERE").ok());
 }
 
 }  // namespace
