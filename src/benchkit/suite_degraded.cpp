@@ -342,8 +342,8 @@ SuiteResult RunDegradedSuite(const SuiteOptions& options) {
                  static_cast<double>(shed_deadline), "count");
   result.AddInfo("overload.queue_rejects_503",
                  static_cast<double>(queue_rejects), "count");
-  // Resilience counters riding the same export: pool, retry and
-  // supervisor accounting of the overload pool.
+  // The overload pool's counters ride the same export: spawns, restarts
+  // the bucket refused, waits and deadline misses.
   for (const auto& [name, value] : overload_ps.Counters()) {
     result.AddInfo(std::string("overload.") + name,
                    static_cast<double>(value), "count");

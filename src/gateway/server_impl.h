@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "gateway/gateway.h"
-#include "resilience/retry.h"
+#include "resilience/latency_tracker.h"
 #include "tenant/fleet.h"
 
 namespace joza::gateway::internal {

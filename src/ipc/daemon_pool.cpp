@@ -10,13 +10,24 @@ DaemonPool::DaemonPool(php::FragmentSet fragments, Options options,
     : fragments_(std::move(fragments)),
       config_(config),
       options_(options),
-      supervisor_(options.supervisor),
-      retry_budget_(options.retry_budget) {
+      restart_bucket_({options.supervisor.restart_budget, kRestartRefillPerSec},
+                      std::chrono::steady_clock::now()) {
   if (options_.max_size == 0) options_.max_size = 1;
   options_.min_size = std::min(options_.min_size, options_.max_size);
 }
 
 DaemonPool::~DaemonPool() { Shutdown(); }
+
+bool DaemonPool::AdmitSpawnLocked() {
+  if (!restart_pending_ || options_.supervisor.restart_budget <= 0) {
+    return true;
+  }
+  if (restart_bucket_.TryWithdraw(1.0, std::chrono::steady_clock::now())) {
+    return true;
+  }
+  ++stats_.restarts_denied;
+  return false;
+}
 
 StatusOr<DaemonPool::Entry> DaemonPool::Checkout(util::Deadline deadline) {
   std::unique_lock<std::mutex> lock(mu_);
@@ -24,10 +35,9 @@ StatusOr<DaemonPool::Entry> DaemonPool::Checkout(util::Deadline deadline) {
   while (idle_.empty()) {
     if (shutdown_) return Status::Unavailable("daemon pool is shut down");
     if (live_ < options_.max_size) {
-      const Status admit = supervisor_.AdmitSpawn();
-      if (admit.ok()) {
+      if (AdmitSpawnLocked()) {
         ++live_;
-        ++stats_.spawned;
+        ++spawning_;
         // Copy the fragment set under the lock; fork and handshake outside
         // it so a slow spawn never stalls the whole pool.
         php::FragmentSet fragments = fragments_;
@@ -43,30 +53,26 @@ StatusOr<DaemonPool::Entry> DaemonPool::Checkout(util::Deadline deadline) {
         // was seeded with; anything else is a stale or broken replica.
         auto reported = entry.client->Handshake(deadline);
         if (!reported.ok()) {
-          supervisor_.RecordSpawnFailure();
-          Discard(std::move(entry));
+          Discard(std::move(entry), &PoolStats::spawn_failures);
           return reported.status();
         }
         if (reported.value() != seed_version) {
-          {
-            std::lock_guard<std::mutex> relock(mu_);
-            ++stats_.version_mismatches;
-          }
-          supervisor_.RecordSpawnFailure();
-          Discard(std::move(entry));
+          Discard(std::move(entry), &PoolStats::spawn_failures, true);
           return Status::Internal("stale daemon: version handshake mismatch");
         }
-        supervisor_.RecordSpawnSuccess();
+        lock.lock();
+        --spawning_;
+        ++stats_.spawned;
+        restart_pending_ = false;
         return entry;
       }
-      if (supervisor_.quarantined()) {
-        // Known-bad shard: fail fast so the engine serves its degraded
-        // mode (NTI-only / fail-closed) instead of queueing doomed work.
-        return Status::Unavailable(admit.message());
+      // The restart bucket is empty. Wait only for a live daemon that is
+      // checked out and can come back (a spawn still in flight may never
+      // go live); with none, fail now and let the engine's breaker take
+      // the storm.
+      if (live_ == spawning_) {
+        return Status::Unavailable("restart budget exhausted");
       }
-      // Backoff or restart budget: a respawn is not allowed *yet*. Fall
-      // through and wait — either a busy daemon returns or the backoff
-      // window lapses (hence the bounded poll below, not a pure cv wait).
     }
     if (deadline.finite() && deadline.expired()) {
       return Status::DeadlineExceeded("daemon checkout deadline");
@@ -75,10 +81,11 @@ StatusOr<DaemonPool::Entry> DaemonPool::Checkout(util::Deadline deadline) {
       ++stats_.waits;
       counted_wait = true;
     }
-    const auto poll =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-    cv_.wait_until(lock,
-                   deadline.finite() ? std::min(deadline.point(), poll) : poll);
+    if (deadline.finite()) {
+      cv_.wait_until(lock, deadline.point());
+    } else {
+      cv_.wait(lock);
+    }
   }
 
   Entry entry = std::move(idle_.back());
@@ -96,17 +103,11 @@ StatusOr<DaemonPool::Entry> DaemonPool::Checkout(util::Deadline deadline) {
   if (!pending.empty()) {
     auto acked = entry.client->AddFragmentsAt(pending, target, deadline);
     if (!acked.ok()) {
-      supervisor_.RecordCrash();
-      Discard(std::move(entry));
+      Discard(std::move(entry), &PoolStats::replaced);
       return acked.status();
     }
     if (acked.value() != target) {
-      {
-        std::lock_guard<std::mutex> relock(mu_);
-        ++stats_.version_mismatches;
-      }
-      supervisor_.RecordCrash();
-      Discard(std::move(entry));
+      Discard(std::move(entry), &PoolStats::replaced, true);
       return Status::Internal("stale daemon: update ack version mismatch");
     }
   }
@@ -128,14 +129,18 @@ void DaemonPool::Return(Entry entry) {
   ReapIdle();
 }
 
-void DaemonPool::Discard(Entry entry) {
+void DaemonPool::Discard(Entry entry, std::uint64_t PoolStats::*outcome,
+                         bool stale) {
   // SIGKILL, no handshake: a hung daemon would stall the graceful shutdown
   // for its full 500 ms bound — and a dead one cannot answer anyway.
   if (entry.client) entry.client->Kill();
   {
     std::lock_guard<std::mutex> lock(mu_);
     --live_;
-    ++stats_.replaced;
+    if (outcome == &PoolStats::spawn_failures) --spawning_;
+    ++(stats_.*outcome);
+    if (stale) ++stats_.version_mismatches;
+    restart_pending_ = true;
   }
   cv_.notify_all();  // blocked checkouts (or Shutdown) may proceed
 }
@@ -152,7 +157,6 @@ StatusOr<PtiVerdictWire> DaemonPool::AttemptOnce(std::string_view query,
   }
   auto wire = entry->client->Analyze(query, deadline);
   if (wire.ok()) {
-    retry_budget_.RecordSuccess();
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.analyzed;
@@ -165,9 +169,8 @@ StatusOr<PtiVerdictWire> DaemonPool::AttemptOnce(std::string_view query,
     ++stats_.deadline_misses;
   }
   // The daemon died or hung mid-flight: kill it and free its slot; the
-  // supervisor decides whether a replacement may spawn.
-  supervisor_.RecordCrash();
-  Discard(std::move(entry).value());
+  // restart bucket decides whether a replacement may spawn.
+  Discard(std::move(entry).value(), &PoolStats::replaced);
   return wire.status();
 }
 
@@ -181,9 +184,6 @@ StatusOr<PtiVerdictWire> DaemonPool::Analyze(std::string_view query,
   InFlight flight(this);
   Status last = Status::Unavailable("PTI daemon unreachable after retry");
   for (int attempt = 0; attempt < 2; ++attempt) {
-    // Retries spend from the budget; when it is drained (an outage — every
-    // request failing and retrying) the tier degrades to single attempts.
-    if (attempt > 0 && !retry_budget_.TrySpend()) break;
     // Each attempt gets at most per_call_timeout; the retry runs on
     // whatever remains of the caller's budget.
     util::Deadline attempt_deadline = deadline;
@@ -198,12 +198,6 @@ StatusOr<PtiVerdictWire> DaemonPool::Analyze(std::string_view query,
     auto wire = AttemptOnce(query, attempt_deadline);
     if (wire.ok()) return wire;
     last = wire.status();
-    // A quarantined shard fails every attempt by design — do not burn the
-    // retry budget confirming it.
-    if (last.code() == StatusCode::kUnavailable &&
-        last.message().find("quarantin") != std::string::npos) {
-      break;
-    }
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -225,8 +219,7 @@ Status DaemonPool::Ping(util::Deadline deadline) {
   if (st.ok()) {
     Return(std::move(entry).value());
   } else {
-    supervisor_.RecordCrash();
-    Discard(std::move(entry).value());
+    Discard(std::move(entry).value(), &PoolStats::replaced);
   }
   return st;
 }
@@ -310,21 +303,13 @@ void DaemonPool::Shutdown() {
 }
 
 CounterList DaemonPool::PoolStats::Counters() const {
-  CounterList out = ExportCounters(*this, kPoolCounters);
-  const CounterList respawns = supervisor.Counters();
-  out.insert(out.end(), respawns.begin(), respawns.end());
-  return out;
+  return ExportCounters(*this, kPoolCounters);
 }
 
 DaemonPool::PoolStats DaemonPool::stats() const {
-  PoolStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-    out.target_version = options_.base_version + added_texts_.size();
-  }
-  out.retries_denied = retry_budget_.denied();
-  out.supervisor = supervisor_.stats();
+  std::lock_guard<std::mutex> lock(mu_);
+  PoolStats out = stats_;
+  out.target_version = options_.base_version + added_texts_.size();
   return out;
 }
 

@@ -8,16 +8,14 @@
 // pool is at its cap, callers block until one frees up.
 //
 // Failure policy: a daemon that dies or hangs mid-flight is SIGKILLed and
-// discarded, and the query retried on a fresh daemon within the remaining
-// deadline budget — but both respawns and retries are governed:
-//
-//   * Respawns go through a DaemonSupervisor: exponential backoff after
-//     consecutive spawn failures, a restart-budget token bucket, and flap
-//     detection that quarantines a crash-looping shard (Analyze fails fast
-//     into the engine's degraded mode instead of fork-storming).
-//   * The one retry spends from a RetryBudget that only successes
-//     replenish, so an outage degrades to single attempts instead of
-//     doubling load on a dying backend.
+// discarded, and the query retried once on a fresh daemon within the
+// remaining deadline budget. A spawn that follows a failed spawn or a
+// crashed daemon is a restart and spends one token from a restart bucket
+// (`supervisor.restart_budget` tokens, refilled at kRestartRefillPerSec).
+// When the bucket is empty the attempt fails at once, unless a live daemon
+// is checked out and can still come back to the pool: a crash storm then
+// reaches the engine's circuit breaker, which is the one limiter in front
+// of a failing pool, instead of a wait that runs out the caller's deadline.
 //
 // If every attempt fails the pool reports an error Status and the engine's
 // degraded-mode policy decides (fail closed by default — an unreachable
@@ -45,8 +43,7 @@
 #include "ipc/framing.h"
 #include "phpsrc/fragments.h"
 #include "pti/pti.h"
-#include "resilience/retry.h"
-#include "resilience/supervisor.h"
+#include "resilience/token_bucket.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
@@ -54,6 +51,15 @@ namespace joza::ipc {
 
 class DaemonPool {
  public:
+  // Sustained restarts a pool may spend per second once its restart bucket
+  // has drained.
+  static constexpr double kRestartRefillPerSec = 1.0;
+
+  struct SupervisorOptions {
+    // Restart bucket capacity; 0 admits every restart.
+    double restart_budget = 16;
+  };
+
   struct Options {
     std::size_t min_size = 1;   // survivors of idle reaping
     std::size_t max_size = 4;   // hard cap on live daemons
@@ -64,10 +70,7 @@ class DaemonPool {
     // that remains. 0 disables the per-call bound (caller deadline only).
     std::chrono::milliseconds per_call_timeout{2000};
 
-    // Respawn policy (restart budget, backoff, flap quarantine).
-    resilience::SupervisorOptions supervisor;
-    // Retry amplification guard.
-    resilience::RetryBudgetOptions retry_budget;
+    SupervisorOptions supervisor;
 
     // Ruleset version the seed fragment set corresponds to. A warm start
     // from a snapshot passes the recovered version here so every daemon,
@@ -77,8 +80,8 @@ class DaemonPool {
   };
 
   struct PoolStats {
-    std::uint64_t spawned = 0;   // daemons forked over the pool's lifetime
-    std::uint64_t replaced = 0;  // dead/hung daemons discarded mid-flight
+    std::uint64_t spawned = 0;   // daemons that answered their handshake
+    std::uint64_t replaced = 0;  // live daemons discarded mid-flight
     std::uint64_t reaped = 0;    // idle daemons retired
     std::uint64_t analyzed = 0;  // successful round trips
     std::uint64_t failures = 0;  // round trips that failed even after retry
@@ -87,15 +90,13 @@ class DaemonPool {
     // Daemons whose handshake or update Ack reported a ruleset version
     // other than the pool's target — stale replicas, discarded on sight.
     std::uint64_t version_mismatches = 0;
-    std::uint64_t retries_denied = 0;  // retries the budget refused
     // The pool's current target ruleset version
     // (base_version + fragment texts added).
     std::uint64_t target_version = 0;
-    // Respawn-policy counters (restarts, quarantines, ...), snapshotted
-    // from the supervisor.
-    resilience::SupervisorStats supervisor;
+    // Spawns whose fork or handshake never produced a live daemon.
+    std::uint64_t spawn_failures = 0;
+    std::uint64_t restarts_denied = 0;  // restarts the empty bucket refused
 
-    // kPoolCounters, then the supervisor's counters.
     CounterList Counters() const;
   };
 
@@ -109,10 +110,10 @@ class DaemonPool {
   DaemonPool& operator=(const DaemonPool&) = delete;
 
   // Round-trips one query through any pooled daemon. Spawns up to max_size
-  // daemons on demand (supervisor permitting); blocks when all are checked
-  // out (bounded by the deadline). Each attempt is additionally bounded by
-  // per_call_timeout; a failed attempt is retried once, budget permitting,
-  // on what remains of the deadline.
+  // daemons on demand (restart bucket permitting); blocks when all are
+  // checked out (bounded by the deadline). Each attempt is additionally
+  // bounded by per_call_timeout; a failed attempt is retried once on what
+  // remains of the deadline.
   StatusOr<PtiVerdictWire> Analyze(std::string_view query,
                                    util::Deadline deadline = util::Deadline());
 
@@ -153,13 +154,6 @@ class DaemonPool {
   std::size_t live() const;   // spawned and not yet retired (busy + idle)
   std::size_t idle() const;
 
-  // Supervisor view: true while the shard is quarantined (Analyze fails
-  // fast; the engine serves NTI-only or fail-closed per its config).
-  bool quarantined() const { return supervisor_.quarantined(); }
-  resilience::SupervisorState supervisor_state() const {
-    return supervisor_.state();
-  }
-
   // Pids of the currently idle daemons (diagnostics / kill-tests).
   std::vector<int> child_pids() const;
 
@@ -172,19 +166,22 @@ class DaemonPool {
     std::size_t fragments_applied = 0;
   };
 
-  // Pops an idle daemon or spawns one (supervisor permitting); blocks at
-  // the cap until `deadline`. Applies pending fragment updates before
+  // Pops an idle daemon or spawns one (restart bucket permitting); blocks
+  // at the cap until `deadline`. Applies pending fragment updates before
   // handing the entry out.
   StatusOr<Entry> Checkout(util::Deadline deadline);
+  // Under mu_: may a daemon be forked now? A spawn after a failure spends a
+  // restart token.
+  bool AdmitSpawnLocked();
   void Return(Entry entry);
-  // Dead or hung daemon: SIGKILL (no handshake — a hung daemon would stall
-  // the graceful shutdown), reap, free its slot. Does not talk to the
-  // supervisor; callers report the outcome that fits (crash vs spawn
-  // failure).
-  void Discard(Entry entry);
+  // Failed daemon: SIGKILL (no handshake — a hung daemon would stall the
+  // graceful shutdown), reap, free its slot, count it under `outcome`
+  // (spawn_failures, which also ends its spawn, or replaced) and, if
+  // `stale`, under version_mismatches. The next spawn is a restart.
+  void Discard(Entry entry, std::uint64_t PoolStats::*outcome,
+               bool stale = false);
 
-  // One complete attempt: checkout + round trip + return/discard, with
-  // supervisor and retry-budget accounting.
+  // One complete attempt: checkout + round trip + return/discard.
   StatusOr<PtiVerdictWire> AttemptOnce(std::string_view query,
                                        util::Deadline deadline);
 
@@ -208,16 +205,18 @@ class DaemonPool {
   pti::PtiConfig config_;
   Options options_;
 
-  resilience::DaemonSupervisor supervisor_;
-  resilience::RetryBudget retry_budget_;
-
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Entry> idle_;      // LIFO: the hottest daemon goes out first
   std::size_t live_ = 0;
+  std::size_t spawning_ = 0;     // of live_: forked, handshake not yet done
   std::size_t in_flight_ = 0;    // Analyze/Ping calls between entry/exit
   bool shutdown_ = false;
   std::vector<std::string> added_texts_;  // broadcast log for late joiners
+  resilience::TokenBucket restart_bucket_;
+  // A spawn failed or a live daemon was discarded since the last daemon
+  // went live: the next spawn is a restart.
+  bool restart_pending_ = false;
   PoolStats stats_;
 };
 
@@ -230,11 +229,11 @@ inline constexpr CounterField<DaemonPool::PoolStats> kPoolCounters[] = {
     {"waits", &DaemonPool::PoolStats::waits},
     {"deadline_misses", &DaemonPool::PoolStats::deadline_misses},
     {"version_mismatches", &DaemonPool::PoolStats::version_mismatches},
-    {"retries_denied", &DaemonPool::PoolStats::retries_denied},
     {"target_version", &DaemonPool::PoolStats::target_version},
+    {"spawn_failures", &DaemonPool::PoolStats::spawn_failures},
+    {"restarts_denied", &DaemonPool::PoolStats::restarts_denied},
 };
 static_assert(sizeof(DaemonPool::PoolStats) ==
-              std::size(kPoolCounters) * sizeof(std::uint64_t) +
-                  sizeof(resilience::SupervisorStats));
+              std::size(kPoolCounters) * sizeof(std::uint64_t));
 
 }  // namespace joza::ipc

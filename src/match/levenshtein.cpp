@@ -1,27 +1,9 @@
 #include "match/levenshtein.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 namespace joza::match {
-
-std::size_t LevenshteinFull(std::string_view a, std::string_view b) {
-  const std::size_t n = a.size(), m = b.size();
-  std::vector<std::size_t> d((n + 1) * (m + 1));
-  auto at = [&](std::size_t i, std::size_t j) -> std::size_t& {
-    return d[i * (m + 1) + j];
-  };
-  for (std::size_t i = 0; i <= n; ++i) at(i, 0) = i;
-  for (std::size_t j = 0; j <= m; ++j) at(0, j) = j;
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 1; j <= m; ++j) {
-      std::size_t sub = at(i - 1, j - 1) + (a[i - 1] == b[j - 1] ? 0 : 1);
-      at(i, j) = std::min({at(i - 1, j) + 1, at(i, j - 1) + 1, sub});
-    }
-  }
-  return at(n, m);
-}
 
 std::size_t LevenshteinTwoRow(std::string_view a, std::string_view b) {
   // Iterate over the longer string, keep rows over the shorter one.
@@ -39,37 +21,6 @@ std::size_t LevenshteinTwoRow(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[m];
-}
-
-std::size_t LevenshteinBanded(std::string_view a, std::string_view b,
-                              std::size_t max_distance) {
-  if (a.size() < b.size()) std::swap(a, b);
-  const std::size_t n = a.size(), m = b.size();
-  if (n - m > max_distance) return max_distance + 1;
-  const std::size_t kInf = std::numeric_limits<std::size_t>::max() / 2;
-  std::vector<std::size_t> prev(m + 1, kInf), cur(m + 1, kInf);
-  for (std::size_t j = 0; j <= std::min(m, max_distance); ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= n; ++i) {
-    // Cells with |i-j| > max_distance can never contribute a distance
-    // within the bound, so restrict j to the band around the diagonal.
-    const std::size_t lo = (i > max_distance) ? i - max_distance : 0;
-    const std::size_t hi = std::min(m, i + max_distance);
-    if (lo > m) return max_distance + 1;
-    std::fill(cur.begin(), cur.end(), kInf);
-    if (lo == 0) cur[0] = i;
-    std::size_t row_min = kInf;
-    for (std::size_t j = std::max<std::size_t>(lo, 1); j <= hi; ++j) {
-      std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      std::size_t del = prev[j] + 1;
-      std::size_t ins = cur[j - 1] + 1;
-      cur[j] = std::min({sub, del, ins});
-      row_min = std::min(row_min, cur[j]);
-    }
-    if (lo == 0) row_min = std::min(row_min, cur[0]);
-    if (row_min > max_distance) return max_distance + 1;  // early exit
-    std::swap(prev, cur);
-  }
-  return std::min(prev[m], max_distance + 1);
 }
 
 }  // namespace joza::match

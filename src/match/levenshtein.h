@@ -1,9 +1,8 @@
-// Levenshtein edit-distance implementations.
+// Whole-string Levenshtein edit distance.
 //
-// NTI's approximate matcher is built on edit distance (the paper uses PHP's
-// builtin levenshtein() for short strings and a linear-memory variant for
-// long ones; Section VI-B). We provide the same tiers plus a banded variant
-// with early exit, ablated in bench_ablation_lev.
+// NTI's matcher computes substring distance (Sellers' bounded DP and Myers'
+// bit-parallel kernel, match/substring.h and match/myers.h). This
+// two-row whole-string distance is their brute-force test oracle.
 #pragma once
 
 #include <cstddef>
@@ -11,17 +10,7 @@
 
 namespace joza::match {
 
-// Classic full-matrix O(n*m) time, O(n*m) space. Reference implementation;
-// useful for testing and for traceback-based span recovery.
-std::size_t LevenshteinFull(std::string_view a, std::string_view b);
-
-// Two-row O(n*m) time, O(min(n,m)) space. The workhorse.
+// Two-row O(n*m) time, O(min(n,m)) space.
 std::size_t LevenshteinTwoRow(std::string_view a, std::string_view b);
-
-// Banded variant: only computes cells within `max_distance` of the diagonal.
-// Returns max_distance + 1 if the true distance exceeds max_distance.
-// O(max_distance * min(n,m)) time.
-std::size_t LevenshteinBanded(std::string_view a, std::string_view b,
-                              std::size_t max_distance);
 
 }  // namespace joza::match

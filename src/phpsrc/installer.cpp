@@ -36,13 +36,6 @@ StatusOr<std::string> ReadFile(const fs::path& path) {
   return buffer.str();
 }
 
-void AppendU32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
 }  // namespace
 
 StatusOr<std::vector<SourceFile>> LoadSourceTree(const std::string& root,
@@ -105,68 +98,6 @@ StatusOr<FragmentSet> InstallFromDirectory(const std::string& root,
   auto files = LoadSourceTree(root, options, report);
   if (!files.ok()) return files.status();
   return FragmentSet::FromSources(files.value());
-}
-
-Status SaveFragments(const FragmentSet& set, const std::string& path) {
-  std::string blob = "JZFR\x01";
-  AppendU32(blob, static_cast<std::uint32_t>(set.size()));
-  for (const Fragment& f : set.fragments()) {
-    AppendU32(blob, static_cast<std::uint32_t>(f.text.size()));
-    blob += f.text;
-    AppendU32(blob, static_cast<std::uint32_t>(f.source_path.size()));
-    blob += f.source_path;
-    AppendU32(blob, static_cast<std::uint32_t>(f.line));
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Unavailable("cannot write " + path);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) return Status::Unavailable("short write to " + path);
-  return Status::Ok();
-}
-
-StatusOr<FragmentSet> LoadFragments(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string blob = buffer.str();
-
-  std::size_t pos = 0;
-  auto take_u32 = [&](std::uint32_t* v) -> bool {
-    if (pos + 4 > blob.size()) return false;
-    *v = static_cast<std::uint8_t>(blob[pos]) |
-         (static_cast<std::uint8_t>(blob[pos + 1]) << 8) |
-         (static_cast<std::uint8_t>(blob[pos + 2]) << 16) |
-         (static_cast<std::uint32_t>(static_cast<std::uint8_t>(blob[pos + 3]))
-          << 24);
-    pos += 4;
-    return true;
-  };
-  auto take_str = [&](std::string* s) -> bool {
-    std::uint32_t len = 0;
-    if (!take_u32(&len)) return false;
-    if (pos + len > blob.size()) return false;
-    s->assign(blob, pos, len);
-    pos += len;
-    return true;
-  };
-
-  if (blob.size() < 5 || blob.compare(0, 5, "JZFR\x01") != 0) {
-    return Status::ParseError("bad fragment file header");
-  }
-  pos = 5;
-  std::uint32_t count = 0;
-  if (!take_u32(&count)) return Status::ParseError("truncated fragment file");
-  FragmentSet set;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string text, source;
-    std::uint32_t line = 0;
-    if (!take_str(&text) || !take_str(&source) || !take_u32(&line)) {
-      return Status::ParseError("truncated fragment record");
-    }
-    set.AddRaw(text, source, line);
-  }
-  return set;
 }
 
 }  // namespace joza::php

@@ -42,10 +42,4 @@ StatusOr<FragmentSet> InstallFromDirectory(const std::string& root,
                                            const ScanOptions& options = {},
                                            ScanReport* report = nullptr);
 
-// Writes a fragment set to a file (one record per fragment, length-prefixed
-// so fragment text may contain any byte) and reads it back. This is how a
-// long-lived daemon cold-starts without re-scanning the application.
-Status SaveFragments(const FragmentSet& set, const std::string& path);
-StatusOr<FragmentSet> LoadFragments(const std::string& path);
-
 }  // namespace joza::php

@@ -1,7 +1,8 @@
-// Self-healing serving tier: supervisor lifecycle policy, respawn pacing,
-// retry budgets, crash-durable ruleset snapshots, and the chaos
-// crash-storm behaviour of the supervised daemon pool. The concurrency
-// property tests (half-open probe bound, crash storm) run under
+// Self-healing serving tier: the daemon pool's restart bucket and
+// counters, the breaker's half-open probe bound, crash-durable ruleset
+// snapshots, and crash storms driven through an engine, whose circuit
+// breaker is the one limiter in front of a failing pool. The concurrency
+// property tests (half-open probe bound, crash storms) run under
 // ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
@@ -19,12 +20,11 @@
 #include "http/request.h"
 #include "ipc/daemon_pool.h"
 #include "phpsrc/fragments.h"
-#include "resilience/backoff.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/injector.h"
-#include "resilience/retry.h"
+#include "resilience/latency_tracker.h"
 #include "resilience/snapshot.h"
-#include "resilience/supervisor.h"
+#include "resilience/token_bucket.h"
 #include "util/status.h"
 
 namespace joza {
@@ -58,60 +58,6 @@ std::string TempSnapshotPath(const char* tag) {
 }
 
 // ---------------------------------------------------------------------------
-// ExponentialBackoff
-// ---------------------------------------------------------------------------
-
-using BackoffTest = ResilienceTest;
-
-TEST_F(BackoffTest, DelayGrowsExponentiallyAndCaps) {
-  resilience::BackoffOptions options;
-  options.base = 50ms;
-  options.max = 5000ms;
-  options.jitter = 0.0;  // pure nominal schedule
-  resilience::ExponentialBackoff backoff(options);
-  EXPECT_EQ(backoff.Delay(1), 50ms);
-  EXPECT_EQ(backoff.Delay(2), 100ms);
-  EXPECT_EQ(backoff.Delay(3), 200ms);
-  EXPECT_EQ(backoff.Delay(8), 5000ms) << "growth must cap at max";
-  EXPECT_EQ(backoff.Delay(40), 5000ms) << "huge counts must not overflow";
-}
-
-TEST_F(BackoffTest, JitterStaysInsideFractionAndIsDeterministic) {
-  resilience::BackoffOptions options;
-  options.base = 100ms;
-  options.max = 10000ms;
-  options.jitter = 0.25;
-  resilience::ExponentialBackoff a(options);
-  resilience::ExponentialBackoff b(options);
-  for (std::size_t failures = 1; failures <= 8; ++failures) {
-    const auto nominal =
-        std::min(options.max, options.base * (1u << (failures - 1)));
-    const auto delay = a.Delay(failures);
-    EXPECT_GE(delay, nominal - nominal * 25 / 100);
-    EXPECT_LE(delay, nominal);
-    EXPECT_EQ(delay, b.Delay(failures)) << "jitter must be deterministic";
-  }
-}
-
-TEST_F(BackoffTest, GatesAttemptsAndResetsOnSuccess) {
-  resilience::BackoffOptions options;
-  options.base = 50ms;
-  options.jitter = 0.0;
-  resilience::ExponentialBackoff backoff(options);
-  const auto t0 = Clock::now();
-  EXPECT_TRUE(backoff.AllowedAt(t0)) << "no failures yet: always allowed";
-  backoff.RecordFailure(t0);
-  EXPECT_FALSE(backoff.AllowedAt(t0 + 10ms));
-  EXPECT_TRUE(backoff.AllowedAt(t0 + 50ms));
-  backoff.RecordFailure(t0 + 50ms);  // second consecutive: 100ms delay
-  EXPECT_FALSE(backoff.AllowedAt(t0 + 100ms));
-  EXPECT_TRUE(backoff.AllowedAt(t0 + 150ms));
-  backoff.Reset();
-  EXPECT_TRUE(backoff.AllowedAt(t0));
-  EXPECT_EQ(backoff.consecutive_failures(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // TokenBucket
 // ---------------------------------------------------------------------------
 
@@ -129,72 +75,6 @@ TEST_F(TokenBucketTest, BurstThenDenyThenRefill) {
   EXPECT_FALSE(bucket.TryWithdraw(1, t0)) << "burst capacity exhausted";
   EXPECT_FALSE(bucket.TryWithdraw(1, t0 + 500ms)) << "only half a token back";
   EXPECT_TRUE(bucket.TryWithdraw(1, t0 + 1100ms)) << "refilled after 1s";
-}
-
-TEST_F(TokenBucketTest, DepositClampsAtCapacity) {
-  resilience::TokenBucketOptions options;
-  options.capacity = 2;
-  options.refill_per_sec = 0;
-  const auto t0 = Clock::now();
-  resilience::TokenBucket bucket(options, t0);
-  bucket.Deposit(100);
-  EXPECT_TRUE(bucket.TryWithdraw(1, t0));
-  EXPECT_TRUE(bucket.TryWithdraw(1, t0));
-  EXPECT_FALSE(bucket.TryWithdraw(1, t0)) << "deposit must clamp at capacity";
-}
-
-// ---------------------------------------------------------------------------
-// RetryBudget
-// ---------------------------------------------------------------------------
-
-using RetryBudgetTest = ResilienceTest;
-
-TEST_F(RetryBudgetTest, SpendsToZeroThenDeniesUntilSuccessesEarnBack) {
-  resilience::RetryBudgetOptions options;
-  options.capacity = 2;
-  options.earn_per_success = 0.5;
-  resilience::RetryBudget budget(options);
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_TRUE(budget.TrySpend());
-  EXPECT_FALSE(budget.TrySpend()) << "budget exhausted";
-  EXPECT_EQ(budget.denied(), 1u);
-  budget.RecordSuccess();
-  EXPECT_FALSE(budget.TrySpend()) << "half a token is not a retry";
-  budget.RecordSuccess();
-  EXPECT_TRUE(budget.TrySpend()) << "two successes earned one retry back";
-  EXPECT_EQ(budget.denied(), 2u);
-}
-
-TEST_F(RetryBudgetTest, ZeroCapacityDisablesTheGuard) {
-  resilience::RetryBudgetOptions options;
-  options.capacity = 0;
-  resilience::RetryBudget budget(options);
-  EXPECT_FALSE(budget.enabled());
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(budget.TrySpend());
-  EXPECT_EQ(budget.denied(), 0u);
-}
-
-TEST_F(RetryBudgetTest, DrainedBudgetLeavesThePoolOneAttempt) {
-  // Every analyze crashes its daemon. A budget that never holds a whole
-  // token denies every retry, so each call costs exactly one daemon.
-  auto& injector = resilience::FaultInjector::Global();
-  injector.Arm(resilience::FaultPoint::kDaemonKill, 1.0);
-
-  ipc::DaemonPool::Options options;
-  options.max_size = 1;
-  options.supervisor.restart_budget = 0;  // respawn at once, no backoff
-  options.retry_budget.capacity = 0.5;
-  options.retry_budget.earn_per_success = 0;
-  ipc::DaemonPool pool(OneFragment(), options);
-
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(pool.Analyze("SELECT 1", util::Deadline::After(3000ms)).ok());
-  }
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.retries_denied, 3u);
-  EXPECT_EQ(stats.replaced, 3u) << "one crashed daemon per call, no retry";
-  EXPECT_EQ(stats.failures, 3u);
-  pool.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -220,114 +100,105 @@ TEST_F(LatencyTrackerTest, FallbackUntilEnoughSamplesThenQuantile) {
 }
 
 // ---------------------------------------------------------------------------
-// DaemonSupervisor policy
+// The pool's restart bucket and counters
 // ---------------------------------------------------------------------------
-
-resilience::SupervisorOptions FastSupervisor() {
-  resilience::SupervisorOptions options;
-  options.restart_budget = 8;
-  options.restart_refill_per_sec = 0;
-  options.backoff.base = 20ms;
-  options.backoff.max = 100ms;
-  options.backoff.jitter = 0.0;
-  options.flap_threshold = 3;
-  options.flap_window = 10000ms;
-  options.quarantine = 80ms;
-  return options;
-}
 
 using SupervisorTest = ResilienceTest;
 
 TEST_F(SupervisorTest, HealthySpawnsAreFreeAndAdmitted) {
-  resilience::DaemonSupervisor supervisor(FastSupervisor());
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(supervisor.AdmitSpawn().ok());
-    supervisor.RecordSpawnSuccess();
+  // Every analysis stalls 200 ms, so concurrent calls each need a daemon of
+  // their own. Scale-up spawns follow no failure and never draw from the
+  // one-token bucket.
+  auto& injector = resilience::FaultInjector::Global();
+  injector.set_hang(200ms);
+  injector.Arm(resilience::FaultPoint::kDaemonHang, 1.0);
+
+  ipc::DaemonPool::Options options;
+  options.max_size = 4;
+  options.supervisor.restart_budget = 1;
+  ipc::DaemonPool pool(OneFragment(), options);
+
+  std::atomic<std::size_t> answered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      if (pool.Analyze("SELECT 1", util::Deadline::After(3000ms)).ok()) {
+        answered.fetch_add(1);
+      }
+    });
   }
-  const auto stats = supervisor.stats();
-  EXPECT_EQ(stats.spawns_admitted, 20u);
-  EXPECT_EQ(stats.restarts, 0u) << "scale-up spawns are not restarts";
-  EXPECT_EQ(supervisor.state(), resilience::SupervisorState::kHealthy);
-}
-
-TEST_F(SupervisorTest, SpawnFailureTriggersBackoffDenial) {
-  resilience::DaemonSupervisor supervisor(FastSupervisor());
-  ASSERT_TRUE(supervisor.AdmitSpawn().ok());
-  supervisor.RecordSpawnFailure();
-  const Status denied = supervisor.AdmitSpawn();
-  EXPECT_FALSE(denied.ok()) << "retry must wait out the backoff";
-  EXPECT_EQ(supervisor.state(), resilience::SupervisorState::kBackoff);
-  std::this_thread::sleep_for(40ms);
-  EXPECT_TRUE(supervisor.AdmitSpawn().ok()) << "backoff lapsed";
-  supervisor.RecordSpawnSuccess();
-  EXPECT_EQ(supervisor.state(), resilience::SupervisorState::kHealthy);
-  const auto stats = supervisor.stats();
-  EXPECT_GE(stats.restarts, 1u) << "a spawn after a failure is a restart";
-  EXPECT_GE(stats.restarts_denied, 1u);
-}
-
-TEST_F(SupervisorTest, FlappingQuarantinesThenProbeRecovers) {
-  resilience::DaemonSupervisor supervisor(FastSupervisor());
-  // Three crashes inside the flap window trip quarantine.
-  for (int i = 0; i < 3; ++i) supervisor.RecordCrash();
-  EXPECT_TRUE(supervisor.quarantined());
-  EXPECT_EQ(supervisor.state(), resilience::SupervisorState::kQuarantined);
-  EXPECT_FALSE(supervisor.AdmitSpawn().ok()) << "quarantine refuses spawns";
-
-  // After the quarantine lapses exactly one probe is admitted; others keep
-  // getting refused until its outcome is known.
-  std::this_thread::sleep_for(120ms);
-  EXPECT_TRUE(supervisor.AdmitSpawn().ok()) << "probe spawn";
-  EXPECT_FALSE(supervisor.AdmitSpawn().ok()) << "one probe at a time";
-  supervisor.RecordSpawnSuccess();
-  EXPECT_FALSE(supervisor.quarantined());
-  EXPECT_EQ(supervisor.state(), resilience::SupervisorState::kHealthy);
-  const auto stats = supervisor.stats();
-  EXPECT_EQ(stats.quarantines, 1u);
-  EXPECT_GE(stats.quarantine_probes, 1u);
-  EXPECT_EQ(stats.recoveries, 1u);
-}
-
-TEST_F(SupervisorTest, FailedProbeReQuarantines) {
-  resilience::DaemonSupervisor supervisor(FastSupervisor());
-  for (int i = 0; i < 3; ++i) supervisor.RecordCrash();
-  ASSERT_TRUE(supervisor.quarantined());
-  std::this_thread::sleep_for(120ms);
-  ASSERT_TRUE(supervisor.AdmitSpawn().ok());
-  supervisor.RecordSpawnFailure();  // probe failed: back to quarantine
-  EXPECT_TRUE(supervisor.quarantined());
-  EXPECT_EQ(supervisor.stats().quarantines, 2u);
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(answered.load(), 4u);
+  const auto stats = pool.stats();
+  EXPECT_GE(stats.spawned, 2u) << "concurrent calls must scale the pool up";
+  EXPECT_EQ(stats.spawn_failures, 0u);
+  EXPECT_EQ(stats.restarts_denied, 0u) << "scale-up spawns are not restarts";
+  pool.Shutdown();
 }
 
 TEST_F(SupervisorTest, RestartBudgetBoundsRespawnRate) {
-  resilience::SupervisorOptions options = FastSupervisor();
-  options.restart_budget = 2;
-  options.flap_threshold = 100;  // keep flap detection out of the way
-  options.backoff.base = 1ms;
-  options.backoff.max = 1ms;  // constant 1ms pacing; the bucket decides
-  resilience::DaemonSupervisor supervisor(options);
-  // Each failure->spawn cycle charges the budget; capacity 2 with no
-  // refill admits exactly two restarts.
-  std::size_t admitted = 0;
-  for (int i = 0; i < 6; ++i) {
-    supervisor.RecordSpawnFailure();
-    std::this_thread::sleep_for(5ms);  // wait out the backoff each round
-    if (supervisor.AdmitSpawn().ok()) ++admitted;
+  // Every spawn fails. The first spawn is free; each later one is a restart
+  // and spends a token. Two tokens admit two restarts, and every attempt
+  // after that is refused without a fork.
+  auto& injector = resilience::FaultInjector::Global();
+  injector.Arm(resilience::FaultPoint::kSpawnFail, 1.0);
+
+  ipc::DaemonPool::Options options;
+  options.max_size = 1;
+  options.supervisor.restart_budget = 2;
+  ipc::DaemonPool pool(OneFragment(), options);
+
+  for (int i = 0; i < 4; ++i) {  // two attempts each (the retry)
+    EXPECT_FALSE(pool.Analyze("SELECT 1", util::Deadline::After(500ms)).ok());
   }
-  EXPECT_EQ(admitted, 2u) << "restart budget must bound respawns";
-  EXPECT_GE(supervisor.stats().restarts_denied, 4u);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.spawn_failures, 3u) << "one free spawn plus two restarts";
+  EXPECT_EQ(stats.restarts_denied, 5u);
+  EXPECT_EQ(stats.failures, 4u);
+  EXPECT_EQ(stats.waits, 0u) << "a refused restart with no daemon out fails";
+  pool.Shutdown();
 }
 
 TEST_F(SupervisorTest, ZeroBudgetDisablesSupervision) {
-  resilience::SupervisorOptions options = FastSupervisor();
-  options.restart_budget = 0;
-  resilience::DaemonSupervisor supervisor(options);
-  EXPECT_FALSE(supervisor.enabled());
-  for (int i = 0; i < 50; ++i) {
-    supervisor.RecordCrash();
-    EXPECT_TRUE(supervisor.AdmitSpawn().ok())
-        << "disabled supervisor admits everything (pre-supervisor policy)";
+  // Every analysis kills its daemon; with no bucket every restart forks.
+  auto& injector = resilience::FaultInjector::Global();
+  injector.Arm(resilience::FaultPoint::kDaemonKill, 1.0);
+
+  ipc::DaemonPool::Options options;
+  options.max_size = 1;
+  options.supervisor.restart_budget = 0;
+  ipc::DaemonPool pool(OneFragment(), options);
+
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(pool.Analyze("SELECT 1", util::Deadline::After(3000ms)).ok());
   }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.spawned, 10u) << "each call forks for its attempt and retry";
+  EXPECT_EQ(stats.replaced, 10u);
+  EXPECT_EQ(stats.restarts_denied, 0u);
+  pool.Shutdown();
+}
+
+TEST_F(SupervisorTest, FailedSpawnsAreNeitherSpawnedNorReplaced) {
+  // The injected failure fires before fork(): no daemon ever goes live, so
+  // none is spawned and none is replaced; each attempt is a spawn failure.
+  auto& injector = resilience::FaultInjector::Global();
+  injector.Arm(resilience::FaultPoint::kSpawnFail, 1.0);
+
+  ipc::DaemonPool::Options options;
+  options.max_size = 2;
+  options.supervisor.restart_budget = 0;
+  ipc::DaemonPool pool(OneFragment(), options);
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(pool.Analyze("SELECT 1", util::Deadline::After(500ms)).ok());
+  }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.spawned, 0u);
+  EXPECT_EQ(stats.replaced, 0u);
+  EXPECT_EQ(stats.spawn_failures, 6u) << "two attempts per call";
+  EXPECT_EQ(stats.analyzed, 0u);
+  pool.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -494,85 +365,88 @@ TEST_F(SnapshotTest, PoolContinuesVersionLineFromBaseVersion) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised pool under chaos
+// Crash storms through an engine: the breaker is the one limiter
 // ---------------------------------------------------------------------------
 
 using ChaosStormTest = ResilienceTest;
 
-TEST_F(ChaosStormTest, TotalSpawnStormQuarantinesInsteadOfForkStorming) {
+constexpr std::size_t kStormThreshold = 3;
+
+// NTI-only while PTI is down, a breaker that opens after three consecutive
+// failures and probes after 50 ms, and no caches, so that every check the
+// breaker lets through reaches the pool.
+core::JozaConfig StormConfig() {
+  core::JozaConfig config;
+  config.degraded_mode = core::DegradedMode::kNtiOnly;
+  config.breaker.failure_threshold = kStormThreshold;
+  config.breaker.cooldown = 50ms;
+  config.query_cache = false;
+  config.structure_cache = false;
+  return config;
+}
+
+std::uint64_t ForkAttempts(const ipc::DaemonPool& pool) {
+  const auto stats = pool.stats();
+  return stats.spawned + stats.spawn_failures;
+}
+
+TEST_F(ChaosStormTest, TotalSpawnStormIsBoundedPerBreakerCycle) {
   auto& injector = resilience::FaultInjector::Global();
   injector.Arm(resilience::FaultPoint::kSpawnFail, 1.0);
 
   ipc::DaemonPool::Options options;
   options.max_size = 2;
-  options.per_call_timeout = 200ms;
-  options.supervisor.restart_budget = 4;
-  options.supervisor.restart_refill_per_sec = 0;
-  options.supervisor.backoff.base = 1ms;
-  options.supervisor.backoff.max = 5ms;
-  options.supervisor.flap_threshold = 3;
-  options.supervisor.flap_window = 10000ms;
-  options.supervisor.quarantine = 60000ms;  // stays down for the test
+  options.supervisor.restart_budget = 0;  // the breaker alone
   ipc::DaemonPool pool(OneFragment(), options);
+  core::Joza joza(OneFragment(), StormConfig());
+  joza.SetPtiBackend(pool.AsPtiBackend());
 
-  // Every spawn fails: the supervisor must converge to quarantine within
-  // the restart budget and each Analyze must fail (never fail open).
-  std::size_t failures = 0;
-  for (int i = 0; i < 12; ++i) {
-    auto verdict = pool.Analyze("SELECT 1", util::Deadline::After(500ms));
-    EXPECT_FALSE(verdict.ok()) << "no daemon ever went live";
-    ++failures;
-    if (pool.quarantined()) break;
-    std::this_thread::sleep_for(10ms);
+  // ~300 ms of traffic: six breaker cooldowns. Every check is answered by
+  // NTI alone; none fails open or closed.
+  for (int i = 0; i < 60; ++i) {
+    const core::Verdict v = joza.Check("SELECT 1", {});
+    EXPECT_FALSE(v.attack);
+    EXPECT_TRUE(v.degraded);
+    std::this_thread::sleep_for(5ms);
   }
-  EXPECT_TRUE(pool.quarantined())
-      << "crash storm must converge to quarantine within the budget";
-  EXPECT_GE(failures, 1u);
-
-  // Quarantined shard fails fast: no backoff wait, no fork attempt.
-  const auto t0 = Clock::now();
-  auto fast = pool.Analyze("SELECT 1", util::Deadline::After(5000ms));
-  EXPECT_FALSE(fast.ok());
-  EXPECT_LT(Clock::now() - t0, 1000ms) << "quarantine must fail fast";
+  const resilience::BreakerStats breaker = joza.breaker().stats();
+  EXPECT_GE(breaker.opens, 2u) << "the breaker must cycle";
+  // A closed breaker lets `kStormThreshold` checks through, each reopening
+  // lets one half-open probe through, and each check forks at most twice
+  // (attempt and retry). Everything else is a fast reject.
+  EXPECT_LE(ForkAttempts(pool), 2 * (kStormThreshold + breaker.opens));
+  EXPECT_GT(joza.stats().breaker_fast_rejects, 0u);
 
   const auto stats = pool.stats();
-  EXPECT_GE(stats.supervisor.quarantines, 1u);
-  EXPECT_GE(stats.supervisor.spawn_failures, 3u);
-  EXPECT_GT(stats.supervisor.restarts_denied, 0u);
+  EXPECT_EQ(stats.spawned, 0u);
   EXPECT_EQ(stats.analyzed, 0u);
   pool.Shutdown();
 }
 
-TEST_F(ChaosStormTest, QuarantinedPoolDegradesEngineToNtiOnlyNotFailOpen) {
+TEST_F(ChaosStormTest, DeadPoolDegradesEngineToNtiOnlyNotFailOpen) {
   auto& injector = resilience::FaultInjector::Global();
   injector.Arm(resilience::FaultPoint::kSpawnFail, 1.0);
 
   ipc::DaemonPool::Options options;
   options.max_size = 1;
-  options.per_call_timeout = 200ms;
-  options.supervisor.restart_budget = 3;
-  options.supervisor.restart_refill_per_sec = 0;
-  options.supervisor.backoff.base = 1ms;
-  options.supervisor.flap_threshold = 2;
-  options.supervisor.quarantine = 60000ms;
   ipc::DaemonPool pool(OneFragment(), options);
-
-  core::JozaConfig config;
-  config.degraded_mode = core::DegradedMode::kNtiOnly;
-  config.breaker.failure_threshold = 3;
+  core::JozaConfig config = StormConfig();
+  config.breaker.cooldown = 60000ms;  // stays open for the test
   core::Joza joza(OneFragment(), config);
   joza.SetPtiBackend(pool.AsPtiBackend());
 
-  // Drive traffic until the shard quarantines; from then on NTI alone
-  // decides. Benign queries keep flowing, tainted ones are still blocked —
-  // at no point does a query pass without SOME analyzer's verdict.
-  for (int i = 0; i < 8 && !pool.quarantined(); ++i) {
+  // Drive traffic until the breaker opens; from then on NTI alone decides.
+  // Benign queries keep flowing, tainted ones are still blocked — at no
+  // point does a query pass without SOME analyzer's verdict.
+  for (std::size_t i = 0; i < kStormThreshold; ++i) {
     (void)joza.Check("SELECT 1", {});
-    std::this_thread::sleep_for(5ms);
   }
-  ASSERT_TRUE(pool.quarantined());
+  ASSERT_EQ(joza.breaker().state(), resilience::BreakerState::kOpen);
+  const std::uint64_t forks = ForkAttempts(pool);
 
+  const auto t0 = Clock::now();
   core::Verdict benign = joza.Check("SELECT 1", {});
+  EXPECT_LT(Clock::now() - t0, 100ms) << "an open breaker fails fast";
   EXPECT_FALSE(benign.attack) << "NTI-only keeps serving benign traffic";
   EXPECT_TRUE(benign.degraded);
 
@@ -581,35 +455,67 @@ TEST_F(ChaosStormTest, QuarantinedPoolDegradesEngineToNtiOnlyNotFailOpen) {
   core::Verdict attack =
       joza.Check("SELECT * FROM posts WHERE id=1 OR 1=1", inputs);
   EXPECT_TRUE(attack.attack) << "zero fail-open: NTI still catches taint";
+  EXPECT_EQ(ForkAttempts(pool), forks) << "the open breaker forks nothing";
 
   pool.Shutdown();
 }
 
 TEST_F(ChaosStormTest, PartialSpawnStormKeepsServingWithZeroFailOpen) {
   auto& injector = resilience::FaultInjector::Global();
-  // 30% of spawns fail (deterministic arithmetic schedule); the supervisor
-  // paces retries but the shard must keep serving.
+  // 30% of spawns fail (deterministic arithmetic schedule), and every
+  // fourth analysis kills its daemon, so the pool keeps respawning; the
+  // retry and the default restart budget keep the engine's checks served.
   injector.Arm(resilience::FaultPoint::kSpawnFail, 0.3);
+  injector.Arm(resilience::FaultPoint::kDaemonKill, 0.25);
 
   ipc::DaemonPool::Options options;
   options.max_size = 2;
-  options.per_call_timeout = 2000ms;
-  options.supervisor.restart_budget = 32;
-  options.supervisor.backoff.base = 1ms;
-  options.supervisor.backoff.max = 10ms;
-  options.supervisor.flap_threshold = 50;  // partial storm: no quarantine
   ipc::DaemonPool pool(OneFragment(), options);
+  core::Joza joza(OneFragment(), StormConfig());
+  joza.SetPtiBackend(pool.AsPtiBackend());
 
   std::size_t served = 0;
   for (int i = 0; i < 20; ++i) {
-    auto verdict = pool.Analyze("SELECT 1", util::Deadline::After(3000ms));
-    if (verdict.ok()) {
-      ++served;
-      EXPECT_FALSE(verdict->attack_detected) << "benign query must stay benign";
-    }
+    const core::Verdict v =
+        joza.Check("SELECT 1", {}, util::Deadline::After(3000ms));
+    EXPECT_FALSE(v.attack) << "benign query must stay benign";
+    if (!v.degraded) ++served;
   }
   EXPECT_GE(served, 15u) << "a 30% spawn-fail storm must not stop serving";
-  EXPECT_FALSE(pool.quarantined());
+  EXPECT_GT(pool.stats().spawn_failures, 0u) << "the storm must fire";
+  pool.Shutdown();
+}
+
+TEST_F(ChaosStormTest, DaemonKillStormFailsFastInsteadOfWaitingOutDeadlines) {
+  // Every analysis kills its daemon and the bucket holds two restarts, so
+  // it is empty by the second check. A refused restart with no daemon
+  // checked out fails the attempt at once: the breaker, not a wait inside
+  // the pool, absorbs the storm, and no check runs out its deadline.
+  auto& injector = resilience::FaultInjector::Global();
+  injector.Arm(resilience::FaultPoint::kDaemonKill, 1.0);
+
+  ipc::DaemonPool::Options options;
+  options.max_size = 1;
+  options.supervisor.restart_budget = 2;
+  ipc::DaemonPool pool(OneFragment(), options);
+  core::Joza joza(OneFragment(), StormConfig());
+  joza.SetPtiBackend(pool.AsPtiBackend());
+
+  constexpr auto kDeadline = 500ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = Clock::now();
+    const core::Verdict v =
+        joza.Check("SELECT 1", {}, util::Deadline::After(kDeadline));
+    EXPECT_LT(Clock::now() - t0, kDeadline) << "check " << i;
+    EXPECT_FALSE(v.attack);
+    EXPECT_TRUE(v.degraded);
+    std::this_thread::sleep_for(10ms);
+  }
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.deadline_misses, 0u);
+  EXPECT_EQ(stats.waits, 0u);
+  EXPECT_GT(stats.restarts_denied, 0u) << "the bucket must have run dry";
+  EXPECT_GE(joza.breaker().stats().opens, 1u);
   pool.Shutdown();
 }
 

@@ -1,10 +1,12 @@
 // joza_check — offline query checker.
 //
-// Loads a fragment set produced by joza_scan and runs the hybrid analysis
+// Loads the ruleset snapshot joza_scan wrote and runs the hybrid analysis
 // on queries from the command line or stdin (one per line). Inputs for the
-// NTI half are supplied as name=value arguments.
+// NTI half are supplied as name=value arguments. Exits 0 when every query
+// is safe, 3 when one is an attack, 1 when the snapshot does not load
+// (missing, truncated or failing its checksum), 2 on bad usage.
 //
-//   joza_check --fragments app.jzfr [--input id=5]... [--strict] [query...]
+//   joza_check --fragments app.snap [--input id=5]... [--strict] [query...]
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -12,7 +14,7 @@
 #include <vector>
 
 #include "core/joza.h"
-#include "phpsrc/installer.h"
+#include "resilience/snapshot.h"
 
 namespace {
 
@@ -67,13 +69,13 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  auto fragments = php::LoadFragments(fragments_path);
-  if (!fragments.ok()) {
+  auto snapshot = resilience::LoadRulesetSnapshot(fragments_path);
+  if (!snapshot.ok()) {
     std::fprintf(stderr, "joza_check: %s\n",
-                 fragments.status().ToString().c_str());
+                 snapshot.status().ToString().c_str());
     return 1;
   }
-  core::Joza engine(std::move(fragments.value()), config);
+  core::Joza engine(std::move(snapshot->fragments), config);
 
   if (queries.empty()) {
     std::string line;

@@ -16,8 +16,8 @@
 // analysis runs out-of-process through the daemon pool, the deployment
 // shape Section IV-C1 describes. On exit it prints one "<source>.<name>
 // <value>" line per counter (engine, gateway, shards, breaker or fleet and
-// tenants, pool), beside the degraded mode and the breaker, supervisor and
-// tenant state names.
+// tenants, pool), beside the degraded mode and the breaker and tenant state
+// names.
 //
 // Serving: --event-shards edge-triggered event-loop shards (default:
 // hardware threads, must be >= 1), each owning its own SO_REUSEPORT accept
@@ -34,8 +34,8 @@
 // frame-corrupt, short-write, accept-fail, spawn-fail, snapshot-io) at the
 // given rate in [0,1] (bare name = always fire).
 //
-// Resilience knobs: --restart-budget caps the supervisor's respawn token
-// bucket (0 disables supervision), --snapshot-path persists every
+// Resilience knobs: --restart-budget sizes the daemon pool's restart bucket
+// (0 admits every restart), --snapshot-path persists every
 // published ruleset generation to a checksummed snapshot file and
 // warm-starts from it after a crash, and --source-updates applies N
 // synthetic fragment updates at startup (each advances the ruleset version
@@ -76,7 +76,6 @@
 #include "resilience/circuit_breaker.h"
 #include "resilience/injector.h"
 #include "resilience/snapshot.h"
-#include "resilience/supervisor.h"
 #include "tenant/fleet.h"
 #include "util/counters.h"
 
@@ -469,8 +468,6 @@ int main(int argc, char** argv) {
     dump("breaker", joza.breaker().stats().Counters());
   }
   if (pool) {
-    std::printf("pool.supervisor_state %s\n",
-                resilience::SupervisorStateName(pool->supervisor_state()));
     dump("pool", pool->stats().Counters());
     pool->Shutdown();
   }

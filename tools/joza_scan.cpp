@@ -1,22 +1,24 @@
 // joza_scan — the installer CLI (Section IV-A).
 //
 // Recursively scans a web application's source tree, extracts the PTI
-// fragment vocabulary, and optionally persists it for daemon cold starts.
+// fragment vocabulary, and optionally persists it as a ruleset snapshot
+// (resilience/snapshot.h: versioned, checksummed, written atomically).
 //
-//   joza_scan <app-root> [--out fragments.jzfr] [--list] [--stats]
+//   joza_scan <app-root> [--out vocabulary.snap] [--list] [--stats]
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "phpsrc/installer.h"
+#include "resilience/snapshot.h"
 
 namespace {
 
 void Usage() {
   std::puts(
       "usage: joza_scan <app-root> [options]\n"
-      "  --out <file>   persist the fragment set (loadable by joza_check\n"
-      "                 and the PTI daemon)\n"
+      "  --out <file>   persist the fragment set as a ruleset snapshot\n"
+      "                 (loadable by joza_check)\n"
       "  --list         print every retained fragment\n"
       "  --stats        print scan statistics");
 }
@@ -75,7 +77,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!out_path.empty()) {
-    if (auto st = php::SaveFragments(set.value(), out_path); !st.ok()) {
+    if (auto st = resilience::SaveRulesetSnapshot(out_path, set.value(), 0);
+        !st.ok()) {
       std::fprintf(stderr, "joza_scan: %s\n", st.ToString().c_str());
       return 1;
     }
