@@ -184,7 +184,7 @@ Verdict Joza::CheckPinned(const RulesetSnapshot& snap,
     bool resolved = false;
     // Both cache keys are salted with the snapshot version: a hit proves
     // safety under *this* vocabulary, never an older one.
-    const std::uint64_t qhash = HashCombine(Fnv1a64(query), snap.version);
+    const std::uint64_t qhash = WordHash64(query, snap.version);
     if (config_.query_cache && state_->query_cache.Lookup(qhash)) {
       Bump(state_->stats.query_cache_hits);
       verdict.query_cache_hit = true;

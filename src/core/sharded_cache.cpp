@@ -32,7 +32,7 @@ ShardedSafetyCache::ShardedSafetyCache(std::size_t capacity)
 }
 
 ShardedSafetyCache::Shard& ShardedSafetyCache::ShardFor(std::uint64_t hash) {
-  // Multiply-shift spreads FNV hashes evenly over the power-of-two shards;
+  // Multiply-shift spreads the keys evenly over the power-of-two shards;
   // taking high bits keeps shard choice independent of the index buckets.
   const std::uint64_t mixed = hash * 0x9e3779b97f4a7c15ull;
   return shards_[shard_shift_ >= 64 ? 0 : mixed >> shard_shift_];

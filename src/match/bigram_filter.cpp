@@ -18,6 +18,16 @@ std::uint16_t GramAt(const char* at) {
 
 }  // namespace
 
+bool BlockFilterEligible(std::string_view pattern) {
+  if (pattern.empty() || pattern.size() > kBlockFilterMaxPattern) {
+    return false;
+  }
+  for (unsigned char c : pattern) {
+    if (c >= 0x80) return false;
+  }
+  return true;
+}
+
 std::size_t BigramBlockFilter::Add(std::string_view pattern,
                                    std::size_t max_distance) {
   const auto index = static_cast<std::uint32_t>(info_.size());

@@ -26,6 +26,17 @@
 
 namespace joza::match {
 
+// Longest pattern the filter takes: a pattern's bigram positions fit one
+// 64-bit mask.
+inline constexpr std::size_t kBlockFilterMaxPattern = 64;
+
+// Which patterns NTI hands the filter: 1..64 bytes, plain ASCII. (The
+// filter itself is byte-clean; the ASCII restriction keeps the staged tier
+// conservative on multi-byte encodings, whose bigram statistics the filter
+// was not tuned for.) Every other pattern goes to the Myers kernel over
+// the whole text.
+bool BlockFilterEligible(std::string_view pattern);
+
 class BigramBlockFilter {
  public:
   // Sizes the index for `patterns` more patterns holding `grams` bigram
@@ -35,8 +46,8 @@ class BigramBlockFilter {
     entries_.reserve(entries_.size() + grams);
   }
 
-  // Indexes one more pattern (1..64 bytes) with its bound k, one entry
-  // per bigram position. Returns the pattern's index.
+  // Indexes one more pattern (1..kBlockFilterMaxPattern bytes) with its
+  // bound k, one entry per bigram position. Returns the pattern's index.
   std::size_t Add(std::string_view pattern, std::size_t max_distance);
 
   // One pass over `text`'s bigrams. The accessors below then answer for

@@ -27,10 +27,12 @@ enum class MatchTier {
   kReference = 0,
   // Staged engine, prepared once per request (see nti/pipeline.h): a
   // bigram block filter, an exact find only where the filter allows one,
-  // the bit-parallel Myers reject kernel over the filter's window, and a
-  // bounded Sellers verification only for surviving candidates. Inputs
-  // the kernel cannot take (>64 bytes, non-ASCII) and a threshold of 1
-  // fall back to find + bounded Sellers.
+  // then the bit-parallel Myers reject kernel and a bounded Sellers
+  // verification of its accepts, both over the filter's window. Inputs
+  // the filter cannot take (>64 bytes, non-ASCII) skip it: exact find,
+  // then the multi-word kernel gating the bounded DP over the whole
+  // query. A threshold of 1 has no finite bound to reject against: find +
+  // unbounded Sellers.
   kStaged = 1,
 };
 

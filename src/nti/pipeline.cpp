@@ -68,16 +68,16 @@ void PreparedInputs::IndexStagedInputs() {
     prep.source = repeat ? inputs_[order[k - 1]].source : order[k];
   }
   if (config_.threshold >= 1.0) return;
-  // Every input the staged path takes: 1..64 ASCII bytes, and long enough
-  // to be considered at all. Marked and counted first, so the filter is
-  // sized once: a one-check scope builds it for a single query.
+  // Every input the block filter takes (1..64 ASCII bytes) and long
+  // enough to be considered at all. Marked and counted first, so the
+  // filter is sized once: a one-check scope builds it for a single query.
   std::size_t staged = 0;
   std::size_t grams = 0;
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     Prepared& prep = inputs_[i];
     const std::string_view value = prep.input.value;
     if (prep.source != i || value.size() < config_.min_input_length ||
-        !match::MyersEligible(value)) {
+        !match::BlockFilterEligible(value)) {
       continue;
     }
     prep.filter_index = 0;
@@ -163,12 +163,20 @@ match::SubstringMatch PreparedInputs::MatchFallback(std::string_view query,
     ++stats.exact_hits;
     return ExactMatch(pos, value.size());
   }
-  ++stats.dp_runs;
-  if (config_.threshold < 1.0) {
-    return match::BestSubstringMatchBounded(query, value,
-                                            ThresholdBound(value.size()));
+  if (config_.threshold >= 1.0) {  // no finite bound to reject against
+    ++stats.dp_runs;
+    return match::BestSubstringMatch(query, value);
   }
-  return match::BestSubstringMatch(query, value);
+  // The staged path's order without the filter: the kernel runs over the
+  // whole query, and only its accepts reach the DP.
+  const std::size_t bound = ThresholdBound(value.size());
+  if (bound == 0) return NoMatch(bound);
+  if (!match::MyersPattern(value).Within(query, bound)) {
+    ++stats.kernel_rejects;
+    return NoMatch(bound);
+  }
+  ++stats.dp_runs;
+  return match::BestSubstringMatchBounded(query, value, bound);
 }
 
 match::SubstringMatch PreparedInputs::MatchStaged(std::string_view query,
@@ -194,17 +202,24 @@ match::SubstringMatch PreparedInputs::MatchStaged(std::string_view query,
     return NoMatch(prep.bound);
   }
   ++stats.seed_candidates;
-  const match::MyersPattern kernel(value);
+  const std::string_view window = filter_.Window(p, query);
   const std::size_t bound = prep.bound;
-  if (!kernel.Within(filter_.Window(p, query), bound)) {
+  if (!match::MyersPattern(value).Within(window, bound)) {
     ++stats.kernel_rejects;
     return NoMatch(bound);
   }
   // A sub-bound match exists: run the reference DP for exact distance,
-  // span and tie-breaking. The bound can never prune it away (row minima
-  // are monotone, and the best final distance is <= bound).
+  // span and tie-breaking, over the window only. Every substring within
+  // the bound lies inside it, so every best candidate and every alignment
+  // reaching one does too: distance, span and tie-breaking are those of
+  // the DP over the whole query, and the bound can never prune the match
+  // away (each row of its alignment stays <= bound).
   ++stats.dp_runs;
-  return match::BestSubstringMatchBounded(query, value, bound);
+  match::SubstringMatch best =
+      match::BestSubstringMatchBounded(window, value, bound);
+  const auto offset = static_cast<std::size_t>(window.data() - query.data());
+  best.span = {best.span.begin + offset, best.span.end + offset};
+  return best;
 }
 
 }  // namespace joza::nti

@@ -3,24 +3,27 @@
 // Everything the matcher derives from a request's inputs is independent of
 // the query, and the paper's interceptor records the inputs once per
 // request (Section IV-D). So PreparedInputs derives it once, per distinct
-// value: for every value the bit-parallel kernel can take (1..64 bytes,
-// ASCII), its threshold bound k, its bigram positions in one request-level
+// value: for every value the block filter takes (1..64 bytes, ASCII), its
+// threshold bound k, its bigram positions in one request-level
 // match::BigramBlockFilter. Each query then costs one pass over its
 // bigrams, and each value descends through progressively cheaper-to-pass /
 // costlier-to-run stages:
 //
-//   block filter  →  exact find  →  windowed Myers kernel  →  Sellers DP
+//   block filter  →  exact find  →  windowed Myers kernel  →  windowed DP
 //
 // The find runs only when one adjacent block pair holds all of the input's
-// bigram positions, and the kernel only over the filter's window, the
-// stretch of the query between the first and the last block pair that
-// passes the counting bound. Every filter is an exact reject and every
-// accept is re-verified by the bounded Sellers DP, the reference DP itself,
-// so markings and evidence are those of the reference tier. Values the
-// kernel cannot take, and every value when the threshold is 1, fall back
-// to find + bounded Sellers. A value is matched once per query however
-// many inputs carry it (the stage counters count values), and each of
-// those inputs gets its own marking (the tier counters count inputs).
+// bigram positions, and the kernel and the bounded Sellers DP only over
+// the filter's window, the stretch of the query between the first and the
+// last block pair that passes the counting bound. Values the filter cannot
+// take (over 64 bytes, non-ASCII) skip it: exact find, then the multi-word
+// kernel and the DP over the whole query. Every filter is an exact reject
+// and every accept is re-verified by the bounded Sellers DP, the reference
+// DP itself, so markings and evidence are those of the reference tier.
+// With the threshold at 1 there is no finite bound to reject against, and
+// every value takes find + unbounded Sellers. A value is matched once per
+// query however many inputs carry it (the stage counters count values),
+// and each of those inputs gets its own marking (the tier counters count
+// inputs).
 #pragma once
 
 #include <cstddef>
@@ -61,9 +64,9 @@ class PreparedInputs {
     // index, bound and match serve every input carrying it (itself when
     // it is that first one).
     std::size_t source = 0;
-    // Index into the block filter; -1 for inputs the staged path cannot
-    // take or that share another input's value (and for every input of
-    // the reference tier).
+    // Index into the block filter; -1 for inputs the filter cannot take
+    // or that share another input's value (and for every input of the
+    // reference tier).
     int filter_index = -1;
     std::size_t bound = 0;       // the threshold bound k
     match::SubstringMatch best;  // per Mark, on a source: its match

@@ -5,6 +5,8 @@
 // engine to simpler ones over the same served and attack traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "attack/catalog.h"
 #include "attack/evasion.h"
 #include "attack/exploit.h"
@@ -15,6 +17,7 @@
 #include "gateway/client.h"
 #include "pti/pti.h"
 #include "sqlparse/structure.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace joza::core {
@@ -251,6 +254,74 @@ TEST(QueryCacheDifferential, GrantsNothingBeyondStructureCache) {
   }
   EXPECT_GT(with_qc.stats().query_cache_hits, 0u);
   EXPECT_GT(with_qc.stats().attacks_detected, 0u);
+}
+
+// The query each catalog endpoint issues for its original exploit and for
+// six sqlmap-style variants.
+std::vector<std::string> CatalogQueries() {
+  std::vector<std::string> queries;
+  for (const attack::PluginSpec& p : attack::PluginCatalog()) {
+    std::vector<attack::Exploit> exploits =
+        attack::GenerateSqlmapPayloads(p, 6, 1);
+    exploits.push_back(attack::OriginalExploit(p));
+    for (const attack::Exploit& e : exploits) {
+      queries.push_back(attack::QueryFor(p, e.payload));
+    }
+  }
+  return queries;
+}
+
+// The query cache's key: one text under one ruleset version.
+TEST(QueryKey, EqualTextsAndVersionsGiveEqualKeys) {
+  for (const std::string& query : CatalogQueries()) {
+    const std::string copy = query;  // another buffer, same bytes
+    EXPECT_EQ(WordHash64(query, 1), WordHash64(copy, 1)) << query;
+    EXPECT_EQ(WordHash64(query, 9), WordHash64(copy, 9)) << query;
+  }
+}
+
+TEST(QueryKey, VersionChangeChangesKey) {
+  for (const std::string& query : CatalogQueries()) {
+    for (std::uint64_t version = 0; version < 8; ++version) {
+      EXPECT_NE(WordHash64(query, version), WordHash64(query, version + 1))
+          << query;
+    }
+  }
+}
+
+// No two distinct texts among the catalog's queries and every one-byte
+// substitution, insertion, deletion and bit flip of them share a key.
+TEST(QueryKey, NoCollisionAmongOneByteEdits) {
+  std::vector<std::string> texts;
+  for (const std::string& query : CatalogQueries()) {
+    texts.push_back(query);
+    for (std::size_t i = 0; i <= query.size(); ++i) {
+      texts.push_back(query.substr(0, i) + ' ' + query.substr(i));
+      if (i == query.size()) break;
+      std::string edited = query;
+      edited[i] = static_cast<char>(edited[i] + 1);
+      texts.push_back(edited);
+      texts.push_back(query.substr(0, i) + query.substr(i + 1));
+      for (int bit = 0; bit < 8; ++bit) {
+        edited = query;
+        edited[i] = static_cast<char>(edited[i] ^ (1 << bit));
+        texts.push_back(edited);
+      }
+    }
+  }
+  std::sort(texts.begin(), texts.end());
+  texts.erase(std::unique(texts.begin(), texts.end()), texts.end());
+  ASSERT_GT(texts.size(), 70000u);
+  for (std::uint64_t version : {1, 2}) {
+    std::vector<std::uint64_t> keys;
+    keys.reserve(texts.size());
+    for (const std::string& text : texts) {
+      keys.push_back(WordHash64(text, version));
+    }
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
+        << texts.size() << " texts, version " << version;
+  }
 }
 
 // The paper's two rules computed the slow, obvious way: the reference

@@ -19,14 +19,6 @@
 namespace joza::match {
 namespace {
 
-TEST(Myers, Eligibility) {
-  EXPECT_FALSE(MyersEligible(""));
-  EXPECT_TRUE(MyersEligible("a"));
-  EXPECT_TRUE(MyersEligible(std::string(64, 'x')));
-  EXPECT_FALSE(MyersEligible(std::string(65, 'x')));
-  EXPECT_FALSE(MyersEligible("caf\xC3\xA9"));  // non-ASCII falls back
-}
-
 TEST(Myers, ExactOccurrenceIsZero) {
   EXPECT_EQ(MyersPattern("-1 OR 1=1")
                 .MinDistance("SELECT * FROM t WHERE id=-1 OR 1=1"),
@@ -62,7 +54,6 @@ TEST(MyersProperty, AgreesWithSellersReference) {
     for (std::size_t j = 0; j < plen; ++j) {
       p += static_cast<char>(base + rng.NextBelow(4));
     }
-    ASSERT_TRUE(MyersEligible(p));
     EXPECT_EQ(MyersPattern(p).MinDistance(q),
               BestSubstringMatch(q, p).distance)
         << q << " / " << p;
@@ -106,11 +97,107 @@ TEST(MyersProperty, WithinAgreesWithMinDistance) {
   }
 }
 
+// A random string of `n` bytes drawn from `alphabet` consecutive byte
+// values starting at `base` (wrapping past 0xFF), so 0x00..0xFF all occur.
+std::string RandomBytes(Rng& rng, std::size_t n, unsigned base,
+                        unsigned alphabet) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    c = static_cast<char>((base + rng.NextBelow(alphabet)) & 0xFF);
+  }
+  return out;
+}
+
+// A copy of `pattern` (over 64 bytes) with `edits` substitutions,
+// insertions and deletions, each within two bytes of one of its 64-byte
+// word boundaries.
+std::string EditAcrossWordBoundaries(Rng& rng, std::string_view pattern,
+                                     std::size_t edits) {
+  std::string copy(pattern);
+  const std::size_t boundaries = (pattern.size() - 1) / 64;
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t boundary = 64 * (1 + rng.NextBelow(boundaries));
+    const std::size_t at =
+        std::min(copy.size() - 1, boundary - 2 + rng.NextBelow(4));
+    const char byte = static_cast<char>(rng.NextBelow(256));
+    switch (rng.NextBelow(3)) {
+      case 0: copy[at] = byte; break;
+      case 1: copy.erase(at, 1); break;
+      default: copy.insert(at, 1, byte);
+    }
+  }
+  return copy;
+}
+
+// Multi-word patterns (65..300 bytes, every byte value allowed): the block
+// carries make MinDistance the Sellers minimum, and Within agrees with it,
+// on random texts and on texts holding a copy with edits planted across
+// the pattern's word boundaries.
+TEST(MyersProperty, MultiWordAgreesWithSellers) {
+  Rng rng(6464);
+  int planted_within = 0;
+  for (int i = 0; i < 240; ++i) {
+    const std::size_t m = 65 + rng.NextBelow(236);
+    const unsigned base = static_cast<unsigned>(rng.NextBelow(256));
+    const unsigned alphabet = i % 3 == 0 ? 256 : (i % 3 == 1 ? 4 : 2);
+    const std::string p = RandomBytes(rng, m, base, alphabet);
+    std::string q;
+    std::size_t planted = 0;
+    if (i % 2 == 0) {
+      q = RandomBytes(rng, rng.NextBelow(2 * m), base, alphabet);
+    } else {
+      planted = rng.NextBelow(m / 8 + 1);
+      q = RandomBytes(rng, rng.NextBelow(70), base, alphabet) +
+          EditAcrossWordBoundaries(rng, p, planted) +
+          RandomBytes(rng, rng.NextBelow(70), base, alphabet);
+    }
+    const MyersPattern pattern(p);
+    const std::size_t d = pattern.MinDistance(q);
+    ASSERT_EQ(d, BestSubstringMatch(q, p).distance)
+        << "m=" << m << " |q|=" << q.size() << " alphabet=" << alphabet;
+    if (i % 2 == 1 && d <= planted) ++planted_within;
+    for (std::size_t k : {std::size_t{0}, d > 0 ? d - 1 : 0, d, d + 1,
+                          planted,
+                          static_cast<std::size_t>(rng.NextBelow(m + 2))}) {
+      EXPECT_EQ(pattern.Within(q, k), d <= k)
+          << "m=" << m << " k=" << k << " d=" << d;
+    }
+  }
+  // At most `planted` edits were made, so every planted copy is within.
+  EXPECT_EQ(planted_within, 120);
+}
+
+TEST(MyersProperty, CarryCrossesEveryWordBoundary) {
+  // One substitution right at each word boundary of a 200-byte pattern:
+  // the distance counts each, whichever block the edit falls in.
+  Rng rng(12);
+  const std::string p = RandomBytes(rng, 200, 0, 256);
+  for (std::size_t at : {63u, 64u, 127u, 128u, 191u, 192u}) {
+    std::string copy = p;
+    copy[at] = static_cast<char>(copy[at] ^ 0x80);
+    const std::string q = "\x01\x02" + copy + "\xFE";
+    EXPECT_EQ(MyersPattern(p).MinDistance(q), 1u) << at;
+    EXPECT_TRUE(MyersPattern(p).Within(q, 1)) << at;
+    EXPECT_FALSE(MyersPattern(p).Within(q, 0)) << at;
+  }
+  EXPECT_EQ(MyersPattern(p).MinDistance(p), 0u);
+  EXPECT_EQ(MyersPattern(p).MinDistance(""), 200u);
+}
+
 TEST(MyersPattern, ReusedAcrossTexts) {
   const MyersPattern pattern("x' OR 1");
   EXPECT_EQ(pattern.MinDistance("WHERE a = 'x\\' OR 1'"), 1u);
   EXPECT_EQ(pattern.MinDistance("x' OR 1"), 0u);
   EXPECT_EQ(pattern.MinDistance(""), 7u);
+}
+
+TEST(BigramFilter, Eligibility) {
+  EXPECT_FALSE(BlockFilterEligible(""));
+  EXPECT_TRUE(BlockFilterEligible("a"));
+  EXPECT_TRUE(BlockFilterEligible(std::string(64, 'x')));
+  EXPECT_FALSE(BlockFilterEligible(std::string(65, 'x')));
+  // Non-ASCII skips the filter (the kernel takes it over the whole text).
+  EXPECT_FALSE(BlockFilterEligible("caf\xC3\xA9"));
 }
 
 // One pattern's filter over one text.

@@ -7,6 +7,7 @@
 #include "attack/catalog.h"
 #include "attack/evasion.h"
 #include "attack/exploit.h"
+#include "match/bigram_filter.h"
 #include "match/levenshtein.h"
 #include "nti/nti.h"
 #include "sqlparse/lexer.h"
@@ -161,6 +162,16 @@ void ExpectTierParity(std::string_view query,
       << "staged diverged at t=" << threshold << " query: " << query;
 }
 
+// One random substitution, insertion or deletion in `s`.
+void PlantEdit(Rng& rng, std::string& s) {
+  const char byte = static_cast<char>('a' + rng.NextBelow(26));
+  switch (s.empty() ? 1 : rng.NextBelow(3)) {
+    case 0: s[rng.NextBelow(s.size())] = byte; break;
+    case 1: s.insert(rng.NextBelow(s.size() + 1), 1, byte); break;
+    default: s.erase(rng.NextBelow(s.size()), 1);
+  }
+}
+
 constexpr double kThresholds[] = {0.0, 0.10, 0.20, 0.40};
 
 class StagedFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -178,6 +189,11 @@ TEST_P(StagedFuzzTest, RandomCorporaAllTiersAgree) {
       "zz' OR 'a'='a", "-1 or 1=1 union select login, pass from wp_users",
   };
 
+  // Over the stored payloads the block filter cannot take, matched alone:
+  // approximate markings (the kernel accepted, the DP verified) and the
+  // kernel's rejects.
+  std::size_t approximate_marks = 0;
+  std::size_t kernel_rejects = 0;
   for (int i = 0; i < 150; ++i) {
     std::string payload;
     if (rng.NextBool(0.5)) {
@@ -189,17 +205,25 @@ TEST_P(StagedFuzzTest, RandomCorporaAllTiersAgree) {
     } else {
       payload = rng.NextToken(1 + rng.NextBelow(14));
     }
-    // Kernel-fallback shapes: oversized (>64 byte) and non-ASCII inputs.
-    if (rng.NextBool(0.1)) payload.append(70, 'q');
-    if (rng.NextBool(0.1) && !payload.empty()) {
+    // Shapes that skip the block filter: over 64 bytes, and non-ASCII.
+    const bool oversized = rng.NextBool(0.15);
+    if (oversized) payload += " " + rng.NextToken(60 + rng.NextBelow(60));
+    const bool non_ascii = rng.NextBool(0.1) && !payload.empty();
+    if (non_ascii) {
       payload[rng.NextBelow(payload.size())] = static_cast<char>(0xE2);
     }
 
     // The query sees a (possibly different) variant of the payload; the
     // stored input is sometimes still transport-encoded (an application
-    // that decodes twice), driving edit distance through %-escapes.
+    // that decodes twice), driving edit distance through %-escapes. The
+    // unfiltered shapes' copies get up to a quarter of their length in
+    // planted edits, on both sides of every threshold bound.
     std::string in_query = payload;
-    if (rng.NextBool(0.3) && !in_query.empty()) {
+    if (oversized || non_ascii) {
+      for (std::size_t e = rng.NextBelow(payload.size() / 4 + 2); e > 0; --e) {
+        PlantEdit(rng, in_query);
+      }
+    } else if (rng.NextBool(0.3) && !in_query.empty()) {
       in_query.erase(rng.NextBelow(in_query.size()), 1);
     }
     std::string stored = payload;
@@ -213,8 +237,19 @@ TEST_P(StagedFuzzTest, RandomCorporaAllTiersAgree) {
         {http::InputKind::kCookie, "session", rng.NextToken(12)},
         {http::InputKind::kHeader, "x-trace", rng.NextToken(6)},
     };
-    ExpectTierParity(query, inputs, kThresholds[i % std::size(kThresholds)]);
+    const double threshold = kThresholds[i % std::size(kThresholds)];
+    ExpectTierParity(query, inputs, threshold);
+    if (!match::BlockFilterEligible(stored)) {
+      NtiConfig cfg;
+      cfg.threshold = threshold;
+      const NtiResult alone = NtiAnalyzer(cfg).Analyze(query, {inputs[0]});
+      approximate_marks +=
+          !alone.markings.empty() && alone.markings[0].distance > 0;
+      kernel_rejects += alone.kernel_rejects;
+    }
   }
+  EXPECT_GT(approximate_marks, 0u);
+  EXPECT_GT(kernel_rejects, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StagedFuzzTest,

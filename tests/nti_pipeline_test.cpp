@@ -8,6 +8,7 @@
 #include <new>
 #include <string>
 
+#include "match/myers.h"
 #include "nti/nti.h"
 #include "nti/pipeline.h"
 #include "sqlparse/critical.h"
@@ -95,7 +96,7 @@ TEST(Pipeline, SurvivorVerifiedByDp) {
 
 TEST(Pipeline, OversizedInputFallsBackToBounded) {
   const NtiAnalyzer nti(StagedConfig());
-  const std::string big(80, 'a');  // > 64 bytes: no bit-parallel kernel
+  const std::string big(80, 'a');  // > 64 bytes: no block filter
   const NtiResult r = nti.Analyze("SELECT " + big + " FROM t",
                                   {{http::InputKind::kGet, "q", big}});
   EXPECT_EQ(r.tier_bounded, 1u);
@@ -110,6 +111,80 @@ TEST(Pipeline, NonAsciiInputFallsBackToBounded) {
                   {{http::InputKind::kGet, "name", "caf\xC3\xA9 zzz"}});
   EXPECT_EQ(r.tier_bounded, 1u);
   EXPECT_EQ(r.tier_staged, 0u);
+}
+
+// A sqlmap-style payload longer than the block filter takes.
+constexpr std::string_view kLongPayload =
+    "x' UNION ALL SELECT CONCAT(0x71,user_login,0x3a,user_pass) FROM "
+    "wp_users WHERE 'a'='a";
+
+// Absent from the query, it is rejected by the multi-word kernel: no DP.
+TEST(Pipeline, LongInputAbsentFromQueryIsKernelRejected) {
+  ASSERT_GT(kLongPayload.size(), 70u);
+  ASSERT_LT(kLongPayload.size(), 90u);
+  const NtiAnalyzer nti(StagedConfig());
+  const NtiResult r = nti.Analyze(
+      "SELECT option_name, option_value FROM wp_options WHERE autoload = "
+      "'yes' ORDER BY option_id",
+      {{http::InputKind::kGet, "q", std::string(kLongPayload)}});
+  EXPECT_EQ(r.tier_bounded, 1u);
+  EXPECT_EQ(r.exact_hits, 0u);
+  EXPECT_EQ(r.kernel_rejects, 1u);
+  EXPECT_EQ(r.dp_runs, 0u);
+  EXPECT_TRUE(r.markings.empty());
+}
+
+// Its escaped copy is within the bound: the kernel accepts and the DP
+// verifies, marking what the reference tier marks.
+TEST(Pipeline, LongInputEscapedCopyVerifiedByDp) {
+  std::string escaped;
+  for (char c : kLongPayload) {
+    if (c == '\'') escaped += '\\';
+    escaped += c;
+  }
+  const std::string query = "SELECT * FROM wp_posts WHERE post_name = '" +
+                            escaped + "' LIMIT 1";
+  const std::vector<http::Input> inputs = {
+      {http::InputKind::kGet, "q", std::string(kLongPayload)}};
+  const NtiResult r = NtiAnalyzer(StagedConfig()).Analyze(query, inputs);
+  EXPECT_EQ(r.tier_bounded, 1u);
+  EXPECT_EQ(r.kernel_rejects, 0u);
+  EXPECT_EQ(r.dp_runs, 1u);
+  NtiConfig reference_config;
+  reference_config.tier = MatchTier::kReference;
+  const NtiResult want = NtiAnalyzer(reference_config).Analyze(query, inputs);
+  ASSERT_EQ(r.markings.size(), 1u);
+  ASSERT_EQ(want.markings.size(), 1u);
+  EXPECT_EQ(r.markings[0].span.begin, want.markings[0].span.begin);
+  EXPECT_EQ(r.markings[0].span.end, want.markings[0].span.end);
+  EXPECT_EQ(r.markings[0].distance, want.markings[0].distance);
+  EXPECT_GT(r.markings[0].distance, 0u);
+  EXPECT_EQ(r.attack_detected, want.attack_detected);
+}
+
+// The kernel's heap: none for a pattern of at most 64 bytes (the staged
+// path's), and for a longer one less than the four query-long rows of the
+// Sellers run it spares.
+TEST(Pipeline, KernelHeapUse) {
+  const std::string query =
+      "SELECT * FROM wp_posts WHERE post_status = 'publish' AND post_title "
+      "LIKE '%" + std::string(900, 'w') + "%' ORDER BY post_date DESC";
+  const std::string short_pattern(kLongPayload.substr(0, 64));
+  std::size_t before = heap_bytes.load();
+  {
+    const match::MyersPattern kernel(short_pattern);
+    EXPECT_FALSE(kernel.Within(query, 16));
+    EXPECT_GT(kernel.MinDistance(query), 16u);
+  }
+  EXPECT_EQ(heap_bytes.load() - before, 0u);
+
+  before = heap_bytes.load();
+  {
+    const match::MyersPattern kernel(kLongPayload);
+    EXPECT_FALSE(kernel.Within(query, 21));
+  }
+  EXPECT_LT(heap_bytes.load() - before,
+            4 * (query.size() + 1) * sizeof(std::size_t));
 }
 
 TEST(Pipeline, ThresholdAtOneFallsBackToBounded) {
@@ -229,19 +304,16 @@ TEST(Pipeline, ThousandsOfShortInputsAgainstALongQuery) {
   const std::string tail = " abc needle-12 WHERE id = 1 OR 1=2 UNION SELECT";
   const std::string query = std::string(500 * 1024, '.') + tail;
 
-  // Memory, without the approximate value: a DP verifying a match holds
-  // rows as long as the query while it runs (one input at a time).
-  const std::vector<http::Input> no_dp_inputs(inputs.begin(),
-                                              inputs.end() - 20);
-  const std::vector<http::InputView> no_dp = http::ViewsOf(no_dp_inputs);
+  // Memory: the one DP run verifies its match inside the filter's window,
+  // which lies in the tail, so it holds no row as long as the query.
   auto heap_bytes_marking = [&](std::size_t filler) {
-    PreparedInputs prepared(StagedConfig(), no_dp);
+    PreparedInputs prepared(StagedConfig(), http::ViewsOf(inputs));
     const std::string text = std::string(filler, '.') + tail;
     const std::size_t before = heap_bytes.load();
     const NtiResult result = prepared.Mark(text);
     const std::size_t bytes = heap_bytes.load() - before;
-    EXPECT_EQ(result.dp_runs, 0u);
-    EXPECT_EQ(result.markings.size(), 2000u + 500u + 20u);
+    EXPECT_EQ(result.dp_runs, 1u);
+    EXPECT_EQ(result.markings.size(), 2000u + 500u + 20u + 20u);
     return bytes;
   };
   EXPECT_EQ(heap_bytes_marking(1000 * 1024), heap_bytes_marking(500 * 1024));
@@ -269,6 +341,46 @@ TEST(Pipeline, ThousandsOfShortInputsAgainstALongQuery) {
   EXPECT_EQ(next, staged.markings.size());
   EXPECT_EQ(staged.markings.size(), 2000u + 500u + 20u + 20u);
   EXPECT_EQ(staged.dp_runs, 1u);  // one per distinct value
+}
+
+// A DP verifies a candidate over the block filter's window, not the whole
+// query: ten short values, each escaped once in a tail after 500 KiB of
+// filler, are marked as the reference tier marks them while the heap is
+// asked for a small fraction of one row as long as the query.
+TEST(Pipeline, CandidateVerifiedInsideItsWindow) {
+  std::vector<http::Input> inputs;
+  std::string tail = " WHERE name IN (";
+  for (int v = 0; v < 10; ++v) {
+    const std::string value = "it's-" + std::to_string(v);
+    for (int copy = 0; copy < 4; ++copy) {
+      inputs.push_back({http::InputKind::kGet, "n", value});
+    }
+    tail += "'it\\'s-" + std::to_string(v) + "', ";
+  }
+  tail += "'')";
+  const std::string query = "SELECT id FROM t" +
+                            std::string(500 * 1024, ' ') + tail;
+  PreparedInputs prepared(StagedConfig(), http::ViewsOf(inputs));
+  const std::size_t before = heap_bytes.load();
+  const NtiResult got = prepared.Mark(query);
+  const std::size_t bytes = heap_bytes.load() - before;
+  EXPECT_EQ(got.dp_runs, 10u);  // one per distinct value
+  EXPECT_LT(bytes, query.size() / 4);
+
+  NtiConfig reference_config;
+  reference_config.tier = MatchTier::kReference;
+  ASSERT_EQ(got.markings.size(), 40u);
+  for (std::size_t i = 0; i < 40; i += 4) {
+    const std::vector<http::InputView> one = {
+        {http::InputKind::kGet, "n", inputs[i].value}};
+    const NtiResult want = PreparedInputs(reference_config, one).Mark(query);
+    ASSERT_EQ(want.markings.size(), 1u) << inputs[i].value;
+    for (std::size_t copy = i; copy < i + 4; ++copy) {
+      EXPECT_EQ(got.markings[copy].span.begin, want.markings[0].span.begin);
+      EXPECT_EQ(got.markings[copy].span.end, want.markings[0].span.end);
+      EXPECT_EQ(got.markings[copy].distance, 1u);
+    }
+  }
 }
 
 // A value repeated under many inputs is matched once per query, and every

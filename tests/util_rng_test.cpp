@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "util/hash.h"
 
@@ -65,6 +67,26 @@ TEST(Hash, Fnv1aKnownValue) {
   EXPECT_EQ(Fnv1a64(""), kFnvOffset);
   EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));
   EXPECT_NE(Fnv1a64("ab"), Fnv1a64("ba"));
+}
+
+// Every length takes one of WordHash64's load patterns (under 4 bytes,
+// 4..16, 16-byte stripes plus an overlapping tail): flipping any bit of
+// any byte, or dropping the last byte, changes the key at every length.
+TEST(WordHash, SeesEveryByteAtEveryLength) {
+  Rng rng(64);
+  const std::string text = rng.NextToken(80);
+  for (std::size_t n = 1; n <= text.size(); ++n) {
+    const std::string_view s(text.data(), n);
+    const std::uint64_t key = WordHash64(s, 3);
+    EXPECT_NE(key, WordHash64(s.substr(0, n - 1), 3)) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped(s);
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        EXPECT_NE(WordHash64(flipped, 3), key) << n << " " << i << " " << bit;
+      }
+    }
+  }
 }
 
 TEST(Hash, CombineOrderSensitive) {

@@ -52,15 +52,18 @@
 // tenant persists to and warm-starts from <path>.<tenant>; the
 // single-engine gateway does the same as the default tenant.
 //
-// Exit codes: 0 success, 2 config/usage parse failure (including
-// --cache-capacity 0 and a tenant larger than the whole --memory-budget-mb),
-// 3 bind/listen failure.
+// The banner, with the port --port 0 picked, is flushed once the server
+// listens, so a harness reading a redirected stdout finds it right away.
+//
+// Exit codes: 0 success, 2 config/usage parse failure (including a numeric
+// flag that is not wholly a number, --cache-capacity 0 and a tenant larger
+// than the whole --memory-budget-mb), 3 bind/listen failure.
 #include <csignal>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -102,6 +105,18 @@ int UsageError(const char* argv0) {
       "          [--unknown-tenant default|404]\n",
       argv0);
   return kExitConfigError;
+}
+
+// Parses all of `value` as `flag`'s number; on anything else (empty,
+// trailing bytes, a sign an unsigned flag cannot take, out of range) says
+// so, naming the flag, and returns false.
+template <typename T>
+bool ParseNumber(const char* flag, const char* value, T* out) {
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, *out);
+  if (ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "%s takes a number, not '%s'\n", flag, value);
+  return false;
 }
 
 // One tenant id per line; blank lines and '#' comments ignored.
@@ -148,26 +163,30 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* value = nullptr;
+    // The flag's value, which must be wholly a number, into `out`.
+    auto number = [&](auto* out) {
+      return ParseNumber(argv[i - 1], value, out);
+    };
     if (std::strcmp(argv[i], "--port") == 0 && (value = next())) {
-      port = std::atoi(value);
+      if (!number(&port)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--workers") == 0 && (value = next())) {
-      workers = static_cast<std::size_t>(std::atol(value));
+      if (!number(&workers)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--cache-capacity") == 0 &&
                (value = next())) {
-      cache_capacity = static_cast<std::size_t>(std::atol(value));
+      if (!number(&cache_capacity)) return UsageError(argv[0]);
       if (cache_capacity == 0) {
         std::fprintf(stderr, "--cache-capacity must be >= 1\n");
         return UsageError(argv[0]);
       }
     } else if (std::strcmp(argv[i], "--event-shards") == 0 &&
                (value = next())) {
-      event_shards = static_cast<std::size_t>(std::atol(value));
+      if (!number(&event_shards)) return UsageError(argv[0]);
       if (event_shards == 0) {
         std::fprintf(stderr, "--event-shards must be >= 1\n");
         return UsageError(argv[0]);
       }
     } else if (std::strcmp(argv[i], "--pool-size") == 0 && (value = next())) {
-      pool_size = static_cast<std::size_t>(std::atol(value));
+      if (!number(&pool_size)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--pti") == 0 && (value = next())) {
       if (std::strcmp(value, "pool") == 0) {
         use_pool = true;
@@ -175,23 +194,23 @@ int main(int argc, char** argv) {
         return UsageError(argv[0]);
       }
     } else if (std::strcmp(argv[i], "--duration") == 0 && (value = next())) {
-      duration_s = std::atol(value);
+      if (!number(&duration_s)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && (value = next())) {
-      deadline_ms = std::atol(value);
+      if (!number(&deadline_ms)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--restart-budget") == 0 &&
                (value = next())) {
-      restart_budget = std::atof(value);
+      if (!number(&restart_budget)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--snapshot-path") == 0 &&
                (value = next())) {
       snapshot_path = value;
     } else if (std::strcmp(argv[i], "--source-updates") == 0 &&
                (value = next())) {
-      source_updates = std::atol(value);
+      if (!number(&source_updates)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--tenants") == 0 && (value = next())) {
       tenants_file = value;
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
                (value = next())) {
-      memory_budget_mb = std::atol(value);
+      if (!number(&memory_budget_mb)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--unknown-tenant") == 0 &&
                (value = next())) {
       if (std::strcmp(value, "404") == 0) {
@@ -203,7 +222,7 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--breaker-threshold") == 0 &&
                (value = next())) {
-      breaker_threshold = static_cast<std::size_t>(std::atol(value));
+      if (!number(&breaker_threshold)) return UsageError(argv[0]);
     } else if (std::strcmp(argv[i], "--degraded") == 0 && (value = next())) {
       if (std::strcmp(value, "nti-only") == 0) {
         degraded_mode = core::DegradedMode::kNtiOnly;
@@ -391,6 +410,7 @@ int main(int argc, char** argv) {
   std::printf("     curl 'http://127.0.0.1:%d"
               "/plugins/community-events?uid=-1%%20or%%201%%3D1'\n",
               bound.value());
+  std::fflush(stdout);
 
   // Synthetic fragment updates: each advances the ruleset version by one
   // and (with --snapshot-path) persists the new generation — the version
